@@ -33,6 +33,7 @@ from .nullmodel import (
     NullConfig,
     NullEnsemble,
     build_null,
+    null_permutations,
     publication_order_series,
     sample_constrained_permutation,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "kl_divergence",
     "load_manifest",
     "log_evidence",
+    "null_permutations",
     "pub_read_regression",
     "publication_order_series",
     "rank_distribution",

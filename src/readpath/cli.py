@@ -13,6 +13,7 @@ wall-clock timestamps appear only in the *.meta.json sidecars.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as _dt
 import json
 import sys
@@ -76,10 +77,12 @@ def _load_model(cfg: RunConfig, k: int) -> topics_mod.TopicModel:
     return topics_mod.load_model(_require(_kdir(cfg, k) / "model.bin", "topic model", "train"))
 
 
-def _load_null_means(kdir: Path, kind: str) -> np.ndarray:
-    path = _require(kdir / f"null_{kind.lower()}.csv", f"null ensemble ({kind})", "null")
-    rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-    return np.array([float(r.split(",")[1]) for r in rows])
+def _load_null_means(path: Path, positions: int) -> np.ndarray:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    if len(rows) != positions:
+        raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
+    return np.array([float(r[1]) for r in rows])
 
 
 # --------------------------------------------------------------------------
@@ -127,23 +130,20 @@ def cmd_train(cfg: RunConfig) -> None:
     _train_models(cfg, vocab, matrix)
 
 
-def _reading_series(model, kind: str) -> surprise_mod.SurpriseSeries:
-    fn = surprise_mod.t2t_series if kind == "T2T" else surprise_mod.t2p_series
-    return fn(model.theta)
+def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
+    return {"T2T": surprise_mod.t2t_series(model.theta), "T2P": surprise_mod.t2p_series(model.theta)}
 
 
 def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.SurpriseSeries]:
-    out = {}
+    out = _reading_series(model)
     doc_ids = [r.id for r in records[1:]]
     dates = [r.read_date.isoformat() for r in records[1:]]
-    for kind in KINDS:
-        series = _reading_series(model, kind)
+    for kind, series in out.items():
         stem = kdir / f"series_{kind.lower()}"
         surprise_mod.write_series_csv(stem.with_suffix(".csv"), series, doc_ids, dates)
         surprise_mod.write_series_metadata(
             stem.with_suffix(".meta.json"), series, model.corpus_fingerprint
         )
-        out[kind] = series
     return out
 
 
@@ -153,11 +153,11 @@ def cmd_surprise(cfg: RunConfig) -> None:
         _step_surprise(_kdir(cfg, k), _load_model(cfg, k), records)
 
 
-def _step_null(kdir: Path, model, records, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
+def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
     ncfg = cfg.null_config()
     out = {}
     for kind in KINDS:
-        ens = null_mod.build_null(model.theta, records, kind, ncfg, threads=cfg.threads)
+        ens = null_mod.build_null(model.theta, perms, kind)
         null_mod.write_ensemble_json(kdir / f"null_{kind.lower()}.json", ens, ncfg)
         null_mod.write_ensemble_csv(kdir / f"null_{kind.lower()}.csv", ens)
         out[kind] = ens
@@ -167,7 +167,8 @@ def _step_null(kdir: Path, model, records, cfg: RunConfig) -> dict[str, null_mod
 def cmd_null(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_null(_kdir(cfg, k), _load_model(cfg, k), records, cfg)
+        perms = null_mod.null_permutations(records, cfg.null_config())
+        _step_null(_kdir(cfg, k), _load_model(cfg, k), perms, cfg)
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -193,8 +194,7 @@ def cmd_puborder(cfg: RunConfig) -> None:
         _step_puborder(_kdir(cfg, k), _load_model(cfg, k), records, cfg)
 
 
-def _step_greedy(kdir: Path, model, records, cfg: RunConfig) -> dict[str, paths_mod.GreedyPath]:
-    matrix = paths_mod.divergence_matrix(model.theta)
+def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
     doc_ids = [r.id for r in records]
     gt2t = paths_mod.greedy_t2t_path(matrix, start_index=0)
     gt2p = paths_mod.greedy_t2p_path(model.theta, start_index=0)
@@ -208,14 +208,12 @@ def _step_greedy(kdir: Path, model, records, cfg: RunConfig) -> dict[str, paths_
 def cmd_greedy(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_greedy(_kdir(cfg, k), _load_model(cfg, k), records, cfg)
+        model = _load_model(cfg, k)
+        _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
-def _step_ranks(kdir: Path, model, records, cfg: RunConfig) -> paths_mod.RankDistribution:
-    matrix = paths_mod.divergence_matrix(model.theta)
-    observed = list(range(len(records)))
-    null_orders = null_mod.null_permutations(records, cfg.null_config())
-    rd = paths_mod.rank_distribution(matrix, observed, null_orders)
+def _step_ranks(kdir: Path, matrix, perms) -> paths_mod.RankDistribution:
+    rd = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
     paths_mod.write_rank_csv(kdir / "ranks.csv", rd)
     paths_mod.write_rank_json(kdir / "ranks.json", rd)
     return rd
@@ -224,11 +222,12 @@ def _step_ranks(kdir: Path, model, records, cfg: RunConfig) -> paths_mod.RankDis
 def cmd_ranks(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_ranks(_kdir(cfg, k), _load_model(cfg, k), records, cfg)
+        matrix = paths_mod.divergence_matrix(_load_model(cfg, k).theta)
+        _step_ranks(_kdir(cfg, k), matrix, null_mod.null_permutations(records, cfg.null_config()))
 
 
 def _step_epochs(
-    kdir: Path, model, records, cfg: RunConfig,
+    kdir: Path, series: dict[str, surprise_mod.SurpriseSeries], records, cfg: RunConfig,
     nulls: dict[str, null_mod.NullEnsemble] | None,
 ) -> dict[str, dict]:
     """Fit epoch models for both series kinds. The series handed to the
@@ -239,27 +238,26 @@ def _step_epochs(
     dates = [r.read_date for r in records[: len(records) - 1]]
     out = {}
     for kind in KINDS:
-        series = _reading_series(model, kind)
+        values = series[kind].values
+        null_path = kdir / f"null_{kind.lower()}.csv"
         null_means = None
         if nulls is not None:
             null_means = nulls[kind].position_mean
-        elif (kdir / f"null_{kind.lower()}.csv").exists():
-            null_means = _load_null_means(kdir, kind)
+        elif null_path.exists():
+            null_means = _load_null_means(null_path, len(values))
         if cfg.epoch_input == "relative":
             if null_means is None:
-                raise InputError(
-                    f"epochs.input=relative needs the null ensemble: {kdir / f'null_{kind.lower()}.csv'}"
-                )
-            fit_values = series.values - null_means
+                raise InputError(f"epochs.input=relative needs the null ensemble: {null_path}")
+            fit_values = values - null_means
         else:
-            fit_values = series.values
-        best, table = epochs_mod.select_n(fit_values, ecfg, dates=dates)
+            fit_values = values
+        best, table, landscape = epochs_mod.select_n_with_landscape(fit_values, ecfg, dates=dates)
         break_dates = epochs_mod.break_to_date(best, records)
         rel_means = None
         if null_means is not None:
             rel_means = [
                 float(x)
-                for x in surprise_mod.epoch_mean_relative(series, null_means, best.breaks)
+                for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)
             ]
         epochs_mod.write_epoch_report(
             kdir / f"epochs_{kind.lower()}.json",
@@ -271,7 +269,6 @@ def _step_epochs(
             relative_means=rel_means,
             prior=epochs_mod.evidence_prior(fit_values, ecfg),
         )
-        landscape = epochs_mod.single_break_landscape(fit_values, ecfg, dates=dates)
         epochs_mod.write_landscape_csv(kdir / f"landscape_{kind.lower()}.csv", landscape)
         out[kind] = {
             "selected_n": best.n,
@@ -288,7 +285,7 @@ def _step_epochs(
 def cmd_epochs(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_epochs(_kdir(cfg, k), _load_model(cfg, k), records, cfg, nulls=None)
+        _step_epochs(_kdir(cfg, k), _reading_series(_load_model(cfg, k)), records, cfg, nulls=None)
 
 
 def _declared_exports(cfg: RunConfig) -> list[str]:
@@ -324,11 +321,15 @@ def cmd_run(cfg: RunConfig) -> None:
     for k, model in models.items():
         kdir = _kdir(cfg, k)
         series = _step_surprise(kdir, model, records)
-        nulls = _step_null(kdir, model, records, cfg)
+        perms = null_mod.null_permutations(records, cfg.null_config())
+        nulls = _step_null(kdir, model, perms, cfg)
         puborder = _step_puborder(kdir, model, records, cfg)
-        greedy = _step_greedy(kdir, model, records, cfg)
-        ranks = _step_ranks(kdir, model, records, cfg)
-        epoch_info = _step_epochs(kdir, model, records, cfg, nulls)
+        matrix = paths_mod.divergence_matrix(model.theta)
+        greedy = _step_greedy(kdir, model, records, cfg, matrix)
+        ranks = _step_ranks(kdir, matrix, perms)
+        # Free the D x D matrix before the epoch fit builds its D x D tables.
+        del matrix, perms
+        epoch_info = _step_epochs(kdir, series, records, cfg, nulls)
 
         summary = {
             "format_version": SUMMARY_FORMAT_VERSION,

@@ -27,9 +27,14 @@ with logsumexp in place of max. The prior is empirical Bayes: m0 is the
 series mean, b0 = a0 * var(series), with a0 = 1 and kappa0 = 0.1.
 Unlike AIC, which rewards the best of several hundred candidate breaks,
 the evidence averages over them, so it does not overfit pure noise. The
-selected model's breaks are still the maximum-likelihood ones from `fit`;
-the log-likelihood and AIC = 2*(3n - 1) - 2*loglik are kept alongside
-for comparison.
+selected model's breaks are still the maximum-likelihood ones `fit`
+finds; the log-likelihood and AIC = 2*(3n - 1) - 2*loglik are kept
+alongside for comparison.
+
+A series costs one (L+1)^2 evidence table, freed once reduced to the
+n_max log evidences, then one score table: a single max dynamic program
+over it gives every n's maximum-likelihood breaks, and its [0, b] +
+[b, L] entries the single-break landscape.
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -65,9 +70,6 @@ class EpochSearchConfig:
     min_length: int | None = None  # index-count minimum; overrides min_years
     min_years: float | None = 5.0  # calendar minimum, resolved via read dates
     variance_floor: float = 1e-12
-    # Normalize the segment mean/variance by (length - 1) instead of length.
-    # Off by default: the (length - 1) form is kept only for comparison.
-    n_minus_1_norm: bool = False
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -96,27 +98,13 @@ class EpochModel:
         return len(self.breaks)
 
 
-def _segment_stats(seg: np.ndarray, variance_floor: float, n_minus_1_norm: bool):
-    m = len(seg)
-    if n_minus_1_norm:
-        denom = m - 1
-        mu = seg.sum() / denom
-        var = float(np.sum((seg - mu) ** 2) / denom)
-        mult = denom / 2.0
-    else:
-        mu = seg.mean()
-        var = float(np.mean((seg - mu) ** 2))
-        mult = m / 2.0
-    return float(mu), max(var, variance_floor), mult
+def _segment_stats(seg: np.ndarray, variance_floor: float):
+    mu = seg.mean()
+    var = float(np.mean((seg - mu) ** 2))
+    return float(mu), max(var, variance_floor)
 
 
-def segment_loglik(
-    series,
-    breaks,
-    *,
-    variance_floor: float = 1e-12,
-    n_minus_1_norm: bool = False,
-) -> float:
+def segment_loglik(series, breaks, *, variance_floor: float = 1e-12) -> float:
     """Profiled Gaussian log-likelihood of a given segmentation."""
     x = _series_values(series)
     if len(x) == 0:
@@ -126,8 +114,8 @@ def segment_loglik(
     for s, e in zip(bounds, bounds[1:]):
         if e - s < 2:
             raise ValueError(f"segment [{s}, {e}) shorter than 2 positions")
-        _, var, mult = _segment_stats(x[s:e], variance_floor, n_minus_1_norm)
-        total += -mult * (1.0 + math.log(2.0 * math.pi * var))
+        _, var = _segment_stats(x[s:e], variance_floor)
+        total += -((e - s) / 2.0) * (1.0 + math.log(2.0 * math.pi * var))
     return float(total)
 
 
@@ -155,9 +143,7 @@ def _min_length_by_start(length: int, config: EpochSearchConfig, dates: list[dat
     return np.concatenate([ml, [big]]).astype(np.int64)
 
 
-def _segment_score_table(
-    x: np.ndarray, min_len: np.ndarray, variance_floor: float, n_minus_1_norm: bool
-) -> np.ndarray:
+def _segment_score_table(x: np.ndarray, min_len: np.ndarray, variance_floor: float) -> np.ndarray:
     """(L+1) x (L+1) table: entry [a, b] is the segment [a, b) loglik, or
     -inf where the segment is infeasible. Series is centered first so the
     prefix-sum variance stays numerically tame."""
@@ -170,19 +156,64 @@ def _segment_score_table(
     s = cs[None, :] - cs[:, None]
     ss = css[None, :] - css[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if n_minus_1_norm:
-            denom = m - 1.0
-            mu = s / denom
-            var = (ss - 2.0 * mu * s + m * mu * mu) / denom
-            mult = denom / 2.0
-        else:
-            mu = s / m
-            var = ss / m - mu * mu
-            mult = m / 2.0
-        var = np.maximum(var, variance_floor)
-        table = -mult * (1.0 + np.log(2.0 * np.pi * var))
+        mu = s / m
+        var = np.maximum(ss / m - mu * mu, variance_floor)
+        table = -(m / 2.0) * (1.0 + np.log(2.0 * np.pi * var))
     table[m < min_len[:, None]] = -np.inf
     return table
+
+
+def _infeasible(length: int, n: int) -> InputError:
+    return InputError(f"series of {length} positions cannot hold {n} epoch(s) of the minimum length")
+
+
+def _best_suffix_scores(table: np.ndarray, n_max: int) -> np.ndarray:
+    """Row j, entry a: the top total score splitting the suffix [a, L)
+    into j feasible segments (-inf where none exists), for j = 0..n_max."""
+    length = table.shape[0] - 1
+    best = np.full((n_max + 1, length + 1), -np.inf)
+    best[0, length] = 0.0
+    for j in range(1, n_max + 1):
+        best[j] = np.max(table + best[j - 1][None, :], axis=1)
+    return best
+
+
+def _ml_breaks(table: np.ndarray, best: np.ndarray, n: int) -> list[int]:
+    """Forward reconstruction of the n-segment maximum, which makes ties
+    resolve to the lexicographically smallest break vector."""
+    if not np.isfinite(best[n, 0]):
+        raise _infeasible(table.shape[0] - 1, n)
+    breaks = [0]
+    a = 0
+    for j in range(n, 1, -1):
+        cand = table[a] + best[j - 1]
+        b = int(np.nonzero(cand == best[j, a])[0][0])
+        breaks.append(b)
+        a = b
+    return breaks
+
+
+def _model(x: np.ndarray, breaks: list[int], variance_floor: float) -> EpochModel:
+    bounds = breaks + [len(x)]
+    stats = [_segment_stats(x[s:e], variance_floor) for s, e in zip(bounds, bounds[1:])]
+    ll = segment_loglik(x, breaks, variance_floor=variance_floor)
+    n_params = 3 * len(breaks) - 1
+    return EpochModel(
+        breaks=tuple(breaks),
+        means=tuple(mu for mu, _ in stats),
+        variances=tuple(var for _, var in stats),
+        log_likelihood=ll,
+        n_params=n_params,
+        aic=2.0 * n_params - 2.0 * ll,
+    )
+
+
+def _landscape(table: np.ndarray) -> np.ndarray:
+    length = table.shape[0] - 1
+    out = np.full(length + 1, np.nan)
+    v = table[0, 1:length] + table[1:length, length]
+    out[1:length] = np.where(np.isfinite(v), v, np.nan)
+    return out
 
 
 def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = None) -> EpochModel:
@@ -199,55 +230,10 @@ def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = No
     min_len = _min_length_by_start(length, config, dates)
     if n == 1:  # no search needed, and no quadratic table for long series
         if length < min_len[0]:
-            raise InputError(
-                f"series of {length} positions is shorter than the minimum epoch length"
-            )
-        mu, var, _ = _segment_stats(x, config.variance_floor, config.n_minus_1_norm)
-        ll = segment_loglik(
-            x, [0], variance_floor=config.variance_floor, n_minus_1_norm=config.n_minus_1_norm
-        )
-        return EpochModel(
-            breaks=(0,), means=(mu,), variances=(var,),
-            log_likelihood=ll, n_params=2, aic=4.0 - 2.0 * ll,
-        )
-    table = _segment_score_table(x, min_len, config.variance_floor, config.n_minus_1_norm)
-
-    # best[j][a]: top loglik splitting the suffix [a, L) into j segments.
-    best = np.full((n + 1, length + 1), -np.inf)
-    best[0, length] = 0.0
-    for j in range(1, n + 1):
-        best[j] = np.max(table + best[j - 1][None, :], axis=1)
-    if not np.isfinite(best[n, 0]):
-        raise InputError(
-            f"series of {length} positions cannot hold {n} epochs at the configured minimum length"
-        )
-
-    breaks = [0]
-    a = 0
-    for j in range(n, 1, -1):
-        cand = table[a] + best[j - 1]
-        b = int(np.nonzero(cand == best[j, a])[0][0])
-        breaks.append(b)
-        a = b
-
-    bounds = breaks + [length]
-    means, variances = [], []
-    for s, e in zip(bounds, bounds[1:]):
-        mu, var, _ = _segment_stats(x[s:e], config.variance_floor, config.n_minus_1_norm)
-        means.append(mu)
-        variances.append(var)
-    ll = segment_loglik(
-        x, breaks, variance_floor=config.variance_floor, n_minus_1_norm=config.n_minus_1_norm
-    )
-    n_params = 3 * n - 1
-    return EpochModel(
-        breaks=tuple(breaks),
-        means=tuple(means),
-        variances=tuple(variances),
-        log_likelihood=ll,
-        n_params=n_params,
-        aic=2.0 * n_params - 2.0 * ll,
-    )
+            raise _infeasible(length, 1)
+        return _model(x, [0], config.variance_floor)
+    table = _segment_score_table(x, min_len, config.variance_floor)
+    return _model(x, _ml_breaks(table, _best_suffix_scores(table, n), n), config.variance_floor)
 
 
 def evidence_prior(series, config: EpochSearchConfig) -> dict:
@@ -325,6 +311,37 @@ def log_evidence(
         return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
 
 
+def select_n_with_landscape(
+    series, config: EpochSearchConfig, dates: list[date] | None = None
+) -> tuple[EpochModel, list[dict], np.ndarray]:
+    """`select_n` and `single_break_landscape` of one series, from one
+    evidence table and one score table."""
+    x = _series_values(series)
+    evidence = log_evidence(x, config, dates)
+    min_len = _min_length_by_start(len(x), config, dates)
+    table = _segment_score_table(x, min_len, config.variance_floor)
+    best = _best_suffix_scores(table, config.n_max)
+    models = [
+        _model(x, _ml_breaks(table, best, n), config.variance_floor)
+        for n in range(1, config.n_max + 1)
+    ]
+    chosen = int(np.argmax(evidence))
+    rows = [
+        {
+            "n": m.n,
+            "n_params": m.n_params,
+            "log_likelihood": m.log_likelihood,
+            "aic": m.aic,
+            "log_evidence": float(evidence[i]),
+            "relative_likelihood": math.exp(evidence[i] - evidence[chosen]),
+            "delta_loglik": None if i == 0 else m.log_likelihood - models[i - 1].log_likelihood,
+            "breaks": list(m.breaks),
+        }
+        for i, m in enumerate(models)
+    ]
+    return models[chosen], rows, _landscape(table)
+
+
 def select_n(
     series, config: EpochSearchConfig, dates: list[date] | None = None
 ) -> tuple[EpochModel, list[dict]]:
@@ -337,25 +354,8 @@ def select_n(
     selected n (so the selected row is exactly 1.0), and the
     log-likelihood gain over n - 1.
     """
-    x = _series_values(series)
-    models = [fit(x, n, config, dates) for n in range(1, config.n_max + 1)]
-    evidence = log_evidence(x, config, dates)
-    chosen = int(np.argmax(evidence))
-    table = []
-    for i, m in enumerate(models):
-        table.append(
-            {
-                "n": m.n,
-                "n_params": m.n_params,
-                "log_likelihood": m.log_likelihood,
-                "aic": m.aic,
-                "log_evidence": float(evidence[i]),
-                "relative_likelihood": math.exp(evidence[i] - evidence[chosen]),
-                "delta_loglik": None if i == 0 else m.log_likelihood - models[i - 1].log_likelihood,
-                "breaks": list(m.breaks),
-            }
-        )
-    return models[chosen], table
+    best, rows, _ = select_n_with_landscape(series, config, dates)
+    return best, rows
 
 
 def break_to_date(model: EpochModel, records) -> list[tuple[int, date]]:
@@ -377,15 +377,8 @@ def single_break_landscape(
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    length = len(x)
-    min_len = _min_length_by_start(length, config, dates)
-    table = _segment_score_table(x, min_len, config.variance_floor, config.n_minus_1_norm)
-    out = np.full(length + 1, np.nan)
-    for b in range(1, length):
-        v = table[0, b] + table[b, length]
-        if np.isfinite(v):
-            out[b] = v
-    return out
+    min_len = _min_length_by_start(len(x), config, dates)
+    return _landscape(_segment_score_table(x, min_len, config.variance_floor))
 
 
 def write_landscape_csv(path: Path | str, landscape: np.ndarray) -> None:

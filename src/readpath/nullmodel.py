@@ -11,8 +11,8 @@ title is chosen, so this sequential procedure is exactly uniform over
 all valid permutations.
 
 Sample j of an ensemble draws from its own PCG64 stream seeded by
-(seed, j); serial and parallel evaluation therefore produce identical
-ensembles.
+(seed, j). `null_permutations` is the one place that samples: both null
+kinds (`build_null`) and the rank statistics read the same M orders.
 """
 
 from __future__ import annotations
@@ -137,12 +137,14 @@ def _sample_rng(seed: int, j: int) -> np.random.Generator:
 
 
 def null_permutations(records, config: NullConfig) -> np.ndarray:
-    """The ensemble's M permutations; sample j comes from stream (seed, j),
-    so any later consumer regenerates exactly the ensemble's orders."""
+    """The ensemble's M permutations as an (M, D) array, each checked
+    against the publication constraint; row j comes from stream (seed, j),
+    so a rerun regenerates exactly the same orders."""
     sampler = ConstrainedPermutationSampler(records)
     out = np.empty((config.samples, sampler.n), dtype=np.int64)
     for j in range(config.samples):
         out[j] = sampler.sample(_sample_rng(config.seed, j))
+    sampler.check(out)
     return out
 
 
@@ -179,42 +181,29 @@ class NullEnsemble:
         return [float(x) for x in np.quantile(self.sample_aggregates, qs)]
 
 
-def build_null(thetas, records, kind: str, config: NullConfig, threads: int = 1) -> NullEnsemble:
-    """Sample M constrained permutations, evaluate the surprise series of
-    each, and reduce to per-position and aggregate null statistics.
+def build_null(thetas, perms, kind: str) -> NullEnsemble:
+    """Evaluate the surprise series of each permutation in ``perms`` (an
+    (M, D) array of orders, as from `null_permutations`) and reduce to
+    per-position and aggregate null statistics.
 
     The one-sided empirical p-value tests for below-null surprise:
     (#{samples with aggregate <= observed} + 1) / (M + 1).
     """
     thetas = _check_distributions(thetas)
-    if thetas.shape[0] != len(records):
-        raise ValueError("thetas and records must align")
+    perms = np.asarray(perms, dtype=np.int64)
+    if perms.ndim != 2 or len(perms) == 0 or perms.shape[1] != thetas.shape[0]:
+        raise ValueError("perms must be a nonempty (M, D) array of orders over the D thetas")
     if thetas.shape[0] < 2:
         raise ValueError("need at least 2 documents")
     if kind not in ENSEMBLE_KINDS:
         raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")
-    sampler = ConstrainedPermutationSampler(records)
-    m, d = config.samples, thetas.shape[0]
-    values = np.empty((m, d - 1), dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            perm = sampler.sample(_sample_rng(config.seed, j))
-            sampler.check(perm)
-            values[j] = _series_values(kind, thetas[perm])
-
-    if threads > 1 and m > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: fill(*ab), zip(bounds[:-1], bounds[1:])))
-    else:
-        fill(0, m)
+    values = np.empty((len(perms), thetas.shape[0] - 1), dtype=np.float64)
+    for j, perm in enumerate(perms):
+        values[j] = _series_values(kind, thetas[perm])
 
     observed = float(_series_values(kind, thetas).mean())
     aggregates = values.mean(axis=1)
-    p = (int(np.count_nonzero(aggregates <= observed)) + 1) / (m + 1)
+    p = (int(np.count_nonzero(aggregates <= observed)) + 1) / (len(perms) + 1)
     return NullEnsemble(
         kind=kind,
         position_mean=values.mean(axis=0),

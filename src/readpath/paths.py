@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .surprise import _check_distributions
 
@@ -173,10 +173,11 @@ def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
 
 
 def _beta_bound(count: int, n: int, q: float) -> float:
-    """Clopper-Pearson binomial proportion bound."""
+    """Clopper-Pearson binomial proportion bound: the q-quantile of a Beta
+    distribution, through the inverse regularized incomplete beta function."""
     if q < 0.5:
-        return 0.0 if count == 0 else float(stats.beta.ppf(q, count, n - count + 1))
-    return 1.0 if count == n else float(stats.beta.ppf(q, count + 1, n - count))
+        return 0.0 if count == 0 else float(betaincinv(count, n - count + 1, q))
+    return 1.0 if count == n else float(betaincinv(count + 1, n - count, q))
 
 
 def write_path_csv(path: Path | str, gp: GreedyPath, doc_ids: list[str]) -> None:

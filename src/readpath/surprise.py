@@ -25,7 +25,6 @@ SERIES_KINDS = ("T2T", "T2P", "T2N")
 
 READING_ORDER = "reading-order"
 PUBLICATION_ORDER = "publication-order"
-PERMUTATION_SAMPLE = "permutation-sample"
 
 
 def _check_distributions(m: np.ndarray) -> np.ndarray:

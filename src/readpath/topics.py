@@ -302,8 +302,14 @@ def load_model(path: Path | str) -> TopicModel:
         if header.get("kind") != "topic-model" or header.get("format_version") != MODEL_FORMAT_VERSION:
             raise InputError(f"model artifact {path}: unsupported format tag")
         d, k, v = header["d"], header["k"], header["v"]
-        theta = np.frombuffer(fh.read(d * k * 8), dtype=np.float64).reshape(d, k)
-        phi = np.frombuffer(fh.read(k * v * 8), dtype=np.float64).reshape(k, v)
+        body = fh.read()
+    if len(body) != (d * k + k * v) * 8:
+        raise InputError(
+            f"model artifact {path}: {len(body)} bytes after the header, expected "
+            f"{(d * k + k * v) * 8} for d={d}, k={k}, v={v} (truncated or oversized)"
+        )
+    theta = np.frombuffer(body, dtype=np.float64, count=d * k).reshape(d, k)
+    phi = np.frombuffer(body, dtype=np.float64, offset=d * k * 8).reshape(k, v)
     params = TopicModelParams(**header["params"])
     return TopicModel(
         theta=theta, phi=phi, params=params, corpus_fingerprint=header.get("corpus_fingerprint", "")

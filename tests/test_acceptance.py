@@ -17,7 +17,12 @@ from scipy import stats
 from readpath.cli import main
 from readpath.corpus import CorpusMatrix
 from readpath.epochs import EpochSearchConfig, fit, segment_loglik, select_n
-from readpath.nullmodel import ConstrainedPermutationSampler, NullConfig, build_null
+from readpath.nullmodel import (
+    ConstrainedPermutationSampler,
+    NullConfig,
+    build_null,
+    null_permutations,
+)
 from readpath.paths import greedy_t2t_path
 from readpath.surprise import kl_divergence, t2n_series, t2p_series, t2t_series
 from readpath.topics import TopicModelParams, sweep_k, train
@@ -154,7 +159,7 @@ def test_c05_null_ensemble_oracle():
     exact_mean = oracle_vals.mean(axis=0)
     exact_std = oracle_vals.std(axis=0)
     m = 2000
-    ens = build_null(thetas, records, "T2T", NullConfig(samples=m, seed=1))
+    ens = build_null(thetas, null_permutations(records, NullConfig(samples=m, seed=1)), "T2T")
     se = exact_std / np.sqrt(m)
     gaps = np.abs(ens.position_mean - exact_mean)
     ok = bool(np.all(gaps <= 3 * se + 1e-12))

@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import readpath
+from readpath import epochs, nullmodel, paths, surprise
 from readpath.cli import main
 
 from conftest import build_demo
+
+DEMO_SAMPLES = 50  # [null] samples in the build_demo config
 
 
 class TestIngest:
@@ -88,10 +96,81 @@ class TestStagedPipeline:
         for cmd in ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs"):
             assert main([cmd, "--config", str(cfg), "--out", str(out2)]) == 0, cmd
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "oneshot")]) == 0
-        for name in ("series_t2t.csv", "null_t2p.json", "greedy_t2t.csv", "epochs_t2t.json"):
-            staged = (out2 / "k2" / name).read_bytes()
-            oneshot = (tmp_path / "oneshot" / "k2" / name).read_bytes()
-            assert staged == oneshot, name
+        oneshot = tmp_path / "oneshot" / "k2"
+        declared = json.loads((oneshot / "manifest.json").read_text())["files"]
+        # run alone writes the summary; the model sidecar carries a timestamp
+        names = sorted(set(declared) - {"summary.json", "model.meta.json"})
+        assert sorted(p.name for p in (out2 / "k2").iterdir()) == sorted(names + ["model.meta.json"])
+        for name in names:
+            assert (out2 / "k2" / name).read_bytes() == (oneshot / name).read_bytes(), name
+
+
+class TestWorkPerK:
+    def test_run_computes_each_intermediate_once_per_k(self, tmp_path, monkeypatch):
+        cfg = build_demo(tmp_path)
+        counts = Counter()
+
+        def counting(name, fn, size=lambda result: 1):
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                counts[name] += size(result)
+                return result
+
+            return counted
+
+        sampler = nullmodel.ConstrainedPermutationSampler
+        monkeypatch.setattr(sampler, "sample_batch", counting("permutations", sampler.sample_batch, len))
+        for module, name in (
+            (paths, "divergence_matrix"),
+            (surprise, "t2t_series"),
+            (surprise, "t2p_series"),
+            (epochs, "_segment_evidence_table"),
+            (epochs, "_segment_score_table"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
+        # per k: one ensemble, one matrix, one series of each kind, and
+        # one evidence and one score table for each of the two series
+        assert counts == {
+            "permutations": 2 * DEMO_SAMPLES,
+            "divergence_matrix": 2,
+            "t2t_series": 2,
+            "t2p_series": 2,
+            "_segment_evidence_table": 4,
+            "_segment_score_table": 4,
+        }
+
+
+class TestArtifactChecks:
+    @pytest.mark.parametrize("edit", ["truncated", "oversized"])
+    def test_model_size_mismatch_exit_1(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "k2" / "model.bin"
+        data = model.read_bytes()
+        model.write_bytes(data[:-100] if edit == "truncated" else data + bytes(8))
+        capsys.readouterr()
+        assert main(["surprise", "--config", str(cfg)]) == 1
+        assert "model.bin" in capsys.readouterr().err
+
+    def test_stale_null_csv_exit_1_names_file(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        null_csv = tmp_path / "out" / "k2" / "null_t2t.csv"
+        rows = null_csv.read_text(encoding="utf-8").splitlines()
+        null_csv.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")  # D - 2 positions
+        capsys.readouterr()
+        assert main(["epochs", "--config", str(cfg)]) == 1
+        assert "null_t2t.csv" in capsys.readouterr().err
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(readpath.__file__).resolve().parents[1])
+        entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+        code = "import sys, readpath.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestReport:

@@ -65,16 +65,6 @@ class TestSegmentLoglik:
         with pytest.raises(ValueError):
             segment_loglik(np.ones(6), [1, 3])  # must start at 0
 
-    def test_length_minus_one_normalization_flag(self):
-        x = np.array([0.0, 1.0, 4.0, 8.0])
-        # literal alternative: mean and variance normalized by (m - 1),
-        # multiplier (m - 1)/2; for [0, 1]: mu = 1, var = 1, mult = 1/2
-        lit = -(0.5) * (1 + math.log(2 * math.pi * 1.0)) - (0.5) * (
-            1 + math.log(2 * math.pi * ((4 - 12) ** 2 + (8 - 12) ** 2))
-        )
-        got = segment_loglik(x, [0, 2], n_minus_1_norm=True)
-        assert got == pytest.approx(lit, abs=1e-12)
-
 
 class TestFit:
     def test_n1_whole_series(self, rng):

@@ -81,7 +81,7 @@ class TestBuildNull:
     def test_identical_thetas_degenerate(self, rng):
         records = make_records(pub_years=[1840] * 5, read_years=[1850] * 5)
         thetas = np.tile([0.25, 0.25, 0.5], (5, 1))
-        ens = build_null(thetas, records, "T2T", NullConfig(samples=100, seed=0))
+        ens = build_null(thetas, null_permutations(records, NullConfig(samples=100, seed=0)), "T2T")
         assert ens.observed_aggregate == 0.0
         assert np.all(ens.sample_aggregates == 0.0)
         assert ens.p_value == 1.0
@@ -89,7 +89,7 @@ class TestBuildNull:
     def test_single_sample_forced_identity_equals_observed(self, rng):
         records = make_records(pub_years=list(range(1840, 1845)), read_years=list(range(1840, 1845)))
         thetas = random_simplex(rng, 5, 3)
-        ens = build_null(thetas, records, "T2T", NullConfig(samples=1, seed=9))
+        ens = build_null(thetas, null_permutations(records, NullConfig(samples=1, seed=9)), "T2T")
         observed = t2t_series(thetas).values
         np.testing.assert_array_equal(ens.position_mean, observed)
         assert np.all(ens.position_std == 0.0)
@@ -107,7 +107,7 @@ class TestBuildNull:
         exact_mean = oracle_vals.mean(axis=0)
         exact_std = oracle_vals.std(axis=0)
         m = 800
-        ens = build_null(thetas, records, kind, NullConfig(samples=m, seed=4))
+        ens = build_null(thetas, null_permutations(records, NullConfig(samples=m, seed=4)), kind)
         se = exact_std / np.sqrt(m)
         assert np.all(np.abs(ens.position_mean - exact_mean) <= 3 * se + 1e-12)
 
@@ -118,7 +118,7 @@ class TestBuildNull:
         a, b = np.array([0.85, 0.1, 0.05]), np.array([0.05, 0.15, 0.8])
         thetas = np.array([(1 - w) * a + w * b for w in ws])
         records = make_records(pub_years=[1840] * 6, read_years=[1850] * 6)
-        ens = build_null(thetas, records, "T2T", NullConfig(samples=50, seed=0))
+        ens = build_null(thetas, null_permutations(records, NullConfig(samples=50, seed=0)), "T2T")
         assert ens.sample_aggregates.min() > ens.observed_aggregate
         assert ens.p_value == pytest.approx(1 / 51)
 
@@ -128,13 +128,11 @@ class TestBuildNull:
         )
         thetas = random_simplex(rng, 6, 4)
         cfg = NullConfig(samples=120, seed=5)
-        a = build_null(thetas, records, "T2T", cfg)
-        b = build_null(thetas, records, "T2T", cfg)
-        c = build_null(thetas, records, "T2T", cfg, threads=4)
-        for other in (b, c):
-            np.testing.assert_array_equal(a.position_mean, other.position_mean)
-            np.testing.assert_array_equal(a.sample_aggregates, other.sample_aggregates)
-            assert a.p_value == other.p_value
+        a = build_null(thetas, null_permutations(records, cfg), "T2T")
+        b = build_null(thetas, null_permutations(records, cfg), "T2T")
+        np.testing.assert_array_equal(a.position_mean, b.position_mean)
+        np.testing.assert_array_equal(a.sample_aggregates, b.sample_aggregates)
+        assert a.p_value == b.p_value
 
     def test_null_permutations_match_ensemble_streams(self, rng):
         records = make_records(pub_years=[1840] * 4, read_years=[1850] * 4)
@@ -146,7 +144,7 @@ class TestBuildNull:
     def test_bad_kind_rejected(self, rng):
         records = make_records(pub_years=[1840] * 3, read_years=[1850] * 3)
         with pytest.raises(ValueError):
-            build_null(random_simplex(rng, 3, 3), records, "T2N", NullConfig(samples=5))
+            build_null(random_simplex(rng, 3, 3), null_permutations(records, NullConfig(samples=5)), "T2N")
 
 
 class TestPublicationOrder:
