@@ -32,7 +32,6 @@ from .config import RunConfig, apply_override, load_run_config
 from .errors import InputError
 
 SUMMARY_FORMAT_VERSION = 1
-KINDS = ("T2T", "T2P")
 
 _COMMANDS = (
     "ingest", "train", "surprise", "null", "puborder",
@@ -73,8 +72,14 @@ def _load_corpus(cfg: RunConfig):
     return corpus_mod.load_cache(_require(_corpus_path(cfg), "corpus cache", "ingest"))
 
 
-def _load_model(cfg: RunConfig, k: int) -> topics_mod.TopicModel:
-    return topics_mod.load_model(_require(_kdir(cfg, k) / "model.bin", "topic model", "train"))
+def _load_model(cfg: RunConfig, k: int, records) -> topics_mod.TopicModel:
+    path = _require(_kdir(cfg, k) / "model.bin", "topic model", "train")
+    model = topics_mod.load_model(path)
+    if model.theta.shape[0] != len(records):
+        raise InputError(
+            f"stale topic model {path}: {model.theta.shape[0]} documents, corpus has {len(records)}"
+        )
+    return model
 
 
 def _load_null_means(path: Path, positions: int) -> np.ndarray:
@@ -82,7 +87,10 @@ def _load_null_means(path: Path, positions: int) -> np.ndarray:
         rows = list(csv.reader(fh))[1:]
     if len(rows) != positions:
         raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
-    return np.array([float(r[1]) for r in rows])
+    try:
+        return np.array([float(r[1]) for r in rows])
+    except (IndexError, ValueError) as exc:
+        raise InputError(f"malformed null ensemble {path}: a row has no numeric mean") from exc
 
 
 # --------------------------------------------------------------------------
@@ -150,13 +158,13 @@ def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.Surpris
 def cmd_surprise(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_surprise(_kdir(cfg, k), _load_model(cfg, k), records)
+        _step_surprise(_kdir(cfg, k), _load_model(cfg, k, records), records)
 
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
     ncfg = cfg.null_config()
     out = {}
-    for kind in KINDS:
+    for kind in surprise_mod.SERIES_VALUES:
         ens = null_mod.build_null(model.theta, perms, kind)
         null_mod.write_ensemble_json(kdir / f"null_{kind.lower()}.json", ens, ncfg)
         null_mod.write_ensemble_csv(kdir / f"null_{kind.lower()}.csv", ens)
@@ -166,9 +174,9 @@ def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.N
 
 def cmd_null(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
+    perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
-        perms = null_mod.null_permutations(records, cfg.null_config())
-        _step_null(_kdir(cfg, k), _load_model(cfg, k), perms, cfg)
+        _step_null(_kdir(cfg, k), _load_model(cfg, k, records), perms, cfg)
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -177,7 +185,7 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
     doc_ids = [records[i].id for i in rep_order[1:]]
     pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
     out = {}
-    for kind in KINDS:
+    for kind in surprise_mod.SERIES_VALUES:
         series = null_mod.publication_order_series(model.theta, records, kind, ncfg)
         stem = kdir / f"puborder_{kind.lower()}"
         surprise_mod.write_series_csv(stem.with_suffix(".csv"), series, doc_ids, pub_years)
@@ -191,7 +199,7 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
 def cmd_puborder(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_puborder(_kdir(cfg, k), _load_model(cfg, k), records, cfg)
+        _step_puborder(_kdir(cfg, k), _load_model(cfg, k, records), records, cfg)
 
 
 def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
@@ -208,7 +216,7 @@ def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str
 def cmd_greedy(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        model = _load_model(cfg, k)
+        model = _load_model(cfg, k, records)
         _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
@@ -221,9 +229,10 @@ def _step_ranks(kdir: Path, matrix, perms) -> paths_mod.RankDistribution:
 
 def cmd_ranks(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
+    perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
-        matrix = paths_mod.divergence_matrix(_load_model(cfg, k).theta)
-        _step_ranks(_kdir(cfg, k), matrix, null_mod.null_permutations(records, cfg.null_config()))
+        matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records).theta)
+        _step_ranks(_kdir(cfg, k), matrix, perms)
 
 
 def _step_epochs(
@@ -237,7 +246,7 @@ def _step_epochs(
     ecfg = cfg.epoch_config()
     dates = [r.read_date for r in records[: len(records) - 1]]
     out = {}
-    for kind in KINDS:
+    for kind in surprise_mod.SERIES_VALUES:
         values = series[kind].values
         null_path = kdir / f"null_{kind.lower()}.csv"
         null_means = None
@@ -285,7 +294,9 @@ def _step_epochs(
 def cmd_epochs(cfg: RunConfig) -> None:
     records, _, _ = _load_corpus(cfg)
     for k in cfg.k_list:
-        _step_epochs(_kdir(cfg, k), _reading_series(_load_model(cfg, k)), records, cfg, nulls=None)
+        _step_epochs(
+            _kdir(cfg, k), _reading_series(_load_model(cfg, k, records)), records, cfg, nulls=None
+        )
 
 
 def _declared_exports(cfg: RunConfig) -> list[str]:
@@ -321,6 +332,9 @@ def cmd_run(cfg: RunConfig) -> None:
     for k, model in models.items():
         kdir = _kdir(cfg, k)
         series = _step_surprise(kdir, model, records)
+        # Drawn per k although it does not depend on k: held across the k
+        # loop it would overlap the epoch fit's D x D tables and raise the
+        # peak RSS, and a single-k run would save nothing.
         perms = null_mod.null_permutations(records, cfg.null_config())
         nulls = _step_null(kdir, model, perms, cfg)
         puborder = _step_puborder(kdir, model, records, cfg)
@@ -345,7 +359,7 @@ def cmd_run(cfg: RunConfig) -> None:
                 "ratio": [None if not np.isfinite(r) else float(r) for r in ranks.ratio],
             },
         }
-        for kind in KINDS:
+        for kind in surprise_mod.SERIES_VALUES:
             ens = nulls[kind]
             lo, hi = ens.aggregate_quantiles()
             summary["surprise"][kind] = {
@@ -400,7 +414,7 @@ def cmd_report(bundle: Path) -> None:
         t2p = fmt.format(sur["T2P"][key])
         print(f"  {label:<24}{t2t:>12}{t2p:>12}")
 
-    for kind in KINDS:
+    for kind in surprise_mod.SERIES_VALUES:
         ep = summary["epochs"][kind]
         print(f"\nepochs from {kind} surprise: n={ep['selected_n']} selected by Bayesian evidence")
         bounds = ep["breaks"] + [summary["documents"] - 1]

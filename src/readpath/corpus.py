@@ -38,14 +38,20 @@ _HYPHEN_LINEBREAK = re.compile(r"-\r?\n")
 
 @dataclass(frozen=True)
 class VolumeRecord:
-    """One volume in the reading sequence."""
+    """One volume in the reading sequence.
+
+    ``text_path`` is the manifest's cell as written, which the corpus cache
+    stores; ``text_file`` is the resolved file that ingest reads, known
+    only to records loaded from a manifest.
+    """
 
     id: str
     title: str
     read_date: date
     read_seq: int
     pub_year: int
-    text_path: Path
+    text_path: str
+    text_file: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -202,16 +208,18 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
             raise InputError(
                 f"record {rid!r}: pub_year {pub_year} is after reading year {read_date.year}"
             )
-        text_path = (path.parent / text_path_s).resolve() if not Path(text_path_s).is_absolute() else Path(text_path_s)
-        if not text_path.exists():
-            raise InputError(f"record {rid!r}: text file not found: {text_path}")
-        parsed.append((read_date, rid, title, pub_year, text_path))
+        text_file = (path.parent / text_path_s).resolve() if not Path(text_path_s).is_absolute() else Path(text_path_s)
+        if not text_file.exists():
+            raise InputError(f"record {rid!r}: text file not found: {text_file}")
+        parsed.append((read_date, rid, title, pub_year, text_path_s, text_file))
 
     # Stable sort: ties on read_date keep manifest row order.
     parsed.sort(key=lambda t: t[0])
     return [
-        VolumeRecord(id=rid, title=title, read_date=rd, read_seq=i, pub_year=py, text_path=tp)
-        for i, (rd, rid, title, py, tp) in enumerate(parsed)
+        VolumeRecord(
+            id=rid, title=title, read_date=rd, read_seq=i, pub_year=py, text_path=tp, text_file=tf
+        )
+        for i, (rd, rid, title, py, tp, tf) in enumerate(parsed)
     ]
 
 
@@ -250,8 +258,10 @@ def build_corpus(
     """
     doc_tokens = []
     for rec in records:
+        if rec.text_file is None:
+            raise InputError(f"record {rec.id!r}: no text file to read (load the manifest to ingest)")
         try:
-            text = rec.text_path.read_text(encoding="utf-8")
+            text = rec.text_file.read_text(encoding="utf-8")
         except OSError as exc:
             raise InputError(f"record {rec.id!r}: cannot read text file: {exc}") from exc
         doc_tokens.append(tokenize(text, config))
@@ -359,7 +369,7 @@ def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, Corpus
             read_date=date.fromisoformat(r["read_date"]),
             read_seq=r["read_seq"],
             pub_year=r["pub_year"],
-            text_path=Path(r["text_path"]),
+            text_path=r["text_path"],
         )
         for r in payload["records"]
     ]

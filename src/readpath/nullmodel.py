@@ -13,6 +13,8 @@ all valid permutations.
 Sample j of an ensemble draws from its own PCG64 stream seeded by
 (seed, j). `null_permutations` is the one place that samples: both null
 kinds (`build_null`) and the rank statistics read the same M orders.
+Every value comes from `surprise`'s row kernel; the exact publication-order
+mean evaluates each year's tie orders in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,17 +31,18 @@ import numpy as np
 from .errors import InputError
 from .surprise import (
     PUBLICATION_ORDER,
+    SERIES_VALUES,
     SurpriseSeries,
-    _check_distributions,
+    _check_sequence,
+    _kl_rows,
     _pairwise_values,
-    _window_mean_values,
-    kl_divergence,
 )
-
-ENSEMBLE_KINDS = ("T2T", "T2P")
 
 # Stream tag for within-year shuffles, disjoint from per-sample tags (0..M-1).
 _PUBORDER_STREAM = 2**62
+
+# Tie orders per array in the exact publication-order mean (bounds memory).
+EXACT_BLOCK = 120
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,11 @@ class NullConfig:
             raise ValueError("within-year settings must be >= 1")
 
 
-def _series_values(kind: str, thetas: np.ndarray) -> np.ndarray:
-    if kind == "T2T":
-        return _pairwise_values(thetas)
-    if kind == "T2P":
-        return _window_mean_values(thetas, None)
-    raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")
+def _value_function(kind: str):
+    """The value function of ``kind``, which must be T2T or T2P."""
+    if kind not in SERIES_VALUES:
+        raise ValueError(f"kind must be one of {tuple(SERIES_VALUES)}, got {kind!r}")
+    return SERIES_VALUES[kind]
 
 
 class ConstrainedPermutationSampler:
@@ -160,8 +163,7 @@ class NullEnsemble:
     p_value: float
 
     def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}")
+        _value_function(self.kind)
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError("p-value out of [0, 1]")
 
@@ -189,19 +191,16 @@ def build_null(thetas, perms, kind: str) -> NullEnsemble:
     The one-sided empirical p-value tests for below-null surprise:
     (#{samples with aggregate <= observed} + 1) / (M + 1).
     """
-    thetas = _check_distributions(thetas)
+    thetas = _check_sequence(thetas)
     perms = np.asarray(perms, dtype=np.int64)
     if perms.ndim != 2 or len(perms) == 0 or perms.shape[1] != thetas.shape[0]:
         raise ValueError("perms must be a nonempty (M, D) array of orders over the D thetas")
-    if thetas.shape[0] < 2:
-        raise ValueError("need at least 2 documents")
-    if kind not in ENSEMBLE_KINDS:
-        raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")
+    series_values = _value_function(kind)
     values = np.empty((len(perms), thetas.shape[0] - 1), dtype=np.float64)
     for j, perm in enumerate(perms):
-        values[j] = _series_values(kind, thetas[perm])
+        values[j] = series_values(thetas[perm])
 
-    observed = float(_series_values(kind, thetas).mean())
+    observed = float(series_values(thetas).mean())
     aggregates = values.mean(axis=1)
     p = (int(np.count_nonzero(aggregates <= observed)) + 1) / (len(perms) + 1)
     return NullEnsemble(
@@ -234,45 +233,40 @@ def _exact_within_year_values(thetas: np.ndarray, groups: list[list[int]], kind:
     only cross-group term is the local (T2T) value at a group boundary,
     whose expectation factorizes into a uniform pair average because the
     last element of one group and the first of the next are independent
-    and uniform under uniform within-group orders.
+    and uniform under uniform within-group orders. A group's orders go
+    through `_kl_rows` as (orders, m, k) blocks of `EXACT_BLOCK`, summed
+    in enumeration order.
     """
-    d = thetas.shape[0]
-    vals = np.zeros(d - 1)
-    prefix = np.zeros(thetas.shape[1])
+    k = thetas.shape[1]
+    parts = []
+    prefix = np.zeros(k)
     n_before = 0
-    pos = 0
     prev_group: list[int] | None = None
     for g in groups:
         m = len(g)
+        # T2T starts at each group's second document, T2P at the corpus's.
+        lo = 1 if kind == "T2T" or n_before == 0 else 0
         acc = np.zeros(m)
-        n_perms = 0
-        for perm in itertools.permutations(g):
-            n_perms += 1
-            running = prefix.copy()
-            nb = n_before
-            for r, doc in enumerate(perm):
-                q = thetas[doc]
-                if kind == "T2P":
-                    if nb > 0:
-                        acc[r] += kl_divergence(q, running / nb)
-                elif r >= 1:
-                    acc[r] += kl_divergence(q, thetas[perm[r - 1]])
-                running += q
-                nb += 1
-        acc /= n_perms
+        orders = itertools.permutations(g)
+        while block := list(itertools.islice(orders, EXACT_BLOCK)):
+            q = thetas[np.array(block)]
+            if kind == "T2P":
+                start = np.broadcast_to(prefix, (len(block), 1, k))
+                past = np.cumsum(np.concatenate([start, q[:, :-1]], axis=1), axis=1)
+                nb = n_before + np.arange(m)
+                block_vals = _kl_rows(q[:, lo:], past[:, lo:] / nb[lo:, None])
+            else:
+                block_vals = _pairwise_values(q)
+            acc[lo:] = np.cumsum(np.vstack([acc[lo:], block_vals]), axis=0)[-1]
+        acc /= math.factorial(m)
         if kind == "T2T" and prev_group is not None:
-            acc[0] = float(
-                np.mean([kl_divergence(thetas[b], thetas[a]) for a in prev_group for b in g])
-            )
-        for r in range(m):
-            gp = pos + r
-            if gp >= 1:
-                vals[gp - 1] = acc[r]
+            pairs = _kl_rows(thetas[g][None, :, :], thetas[prev_group][:, None, :])
+            acc[0] = float(np.mean(pairs.ravel()))
+        parts.append(acc)
         prefix += thetas[g].sum(axis=0)
         n_before += m
-        pos += m
         prev_group = g
-    return vals
+    return np.concatenate(parts)[1:]
 
 
 def publication_order_series(thetas, records, kind: str, config: NullConfig) -> SurpriseSeries:
@@ -281,15 +275,10 @@ def publication_order_series(thetas, records, kind: str, config: NullConfig) -> 
     most ``within_year_exact_threshold`` documents, otherwise over
     ``within_year_samples`` Monte Carlo shuffles. Positions are ordinal.
     """
-    thetas = _check_distributions(thetas)
-    if len(records) == 0:
-        raise ValueError("empty corpus")
+    thetas = _check_sequence(thetas)
     if thetas.shape[0] != len(records):
         raise ValueError("thetas and records must align")
-    if thetas.shape[0] < 2:
-        raise ValueError("need at least 2 documents")
-    if kind not in ENSEMBLE_KINDS:
-        raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {kind!r}")
+    series_values = _value_function(kind)
 
     groups = _year_groups(records)
     if all(len(g) <= config.within_year_exact_threshold for g in groups):
@@ -301,7 +290,7 @@ def publication_order_series(thetas, records, kind: str, config: NullConfig) -> 
         acc = np.zeros(thetas.shape[0] - 1)
         for _ in range(config.within_year_samples):
             order = np.concatenate([rng.permutation(g) for g in groups])
-            acc += _series_values(kind, thetas[order])
+            acc += series_values(thetas[order])
         vals = acc / config.within_year_samples
     return SurpriseSeries(kind=kind, values=vals, ordering=PUBLICATION_ORDER)
 

@@ -8,7 +8,9 @@ silently bending the measure.
 
 Series conventions: for D ordered documents, surprise is defined at
 positions 1..D-1 (the first document has no predecessor), stored in a
-length D-1 array where ``values[j]`` belongs to position j+1.
+length D-1 array where ``values[j]`` belongs to position j+1. Every
+series value, here and in `nullmodel`, comes from one row kernel,
+`_kl_rows`; the scalar `kl_divergence` is its test reference.
 """
 
 from __future__ import annotations
@@ -87,13 +89,17 @@ class SurpriseSeries:
         return float(self.values.mean())
 
 
+def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """`kl_divergence` along the last axis of any stack of row pairs."""
+    return np.maximum(np.sum(q * np.log2(q / p), axis=-1), 0.0)
+
+
 def _pairwise_values(thetas: np.ndarray) -> np.ndarray:
-    q = thetas[1:]
-    p = thetas[:-1]
-    return np.maximum(np.sum(q * np.log2(q / p), axis=1), 0.0)
+    """KL from each row to the one before it (per order in a stack)."""
+    return _kl_rows(thetas[..., 1:, :], thetas[..., :-1, :])
 
 
-def _window_mean_values(thetas: np.ndarray, n_window: int | None) -> np.ndarray:
+def _window_mean_values(thetas: np.ndarray, n_window: int | None = None) -> np.ndarray:
     """KL from each row to the mean of its preceding window (full past when
     ``n_window`` is None or covers it)."""
     d = thetas.shape[0]
@@ -102,25 +108,31 @@ def _window_mean_values(thetas: np.ndarray, n_window: int | None) -> np.ndarray:
     lo = np.zeros(d - 1, dtype=np.int64) if n_window is None else np.maximum(i - n_window, 0)
     span = (i - lo).astype(np.float64)
     past_mean = (cs[i] - cs[lo]) / span[:, None]
-    q = thetas[1:]
-    return np.maximum(np.sum(q * np.log2(q / past_mean), axis=1), 0.0)
+    return _kl_rows(thetas[1:], past_mean)
+
+
+# The kinds that the null model and the publication order compare.
+SERIES_VALUES = {"T2T": _pairwise_values, "T2P": _window_mean_values}
+
+
+def _check_sequence(thetas) -> np.ndarray:
+    thetas = _check_distributions(thetas)
+    if thetas.shape[0] < 2:
+        raise ValueError("need at least 2 documents")
+    return thetas
 
 
 def t2t_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Local surprise: KL from each document to the one read just before."""
-    thetas = _check_distributions(thetas)
-    if thetas.shape[0] < 2:
-        raise ValueError("need at least 2 documents")
+    thetas = _check_sequence(thetas)
     return SurpriseSeries(kind="T2T", values=_pairwise_values(thetas), ordering=ordering)
 
 
 def t2p_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Global surprise: KL from each document to the unweighted mean of
     every document read before it."""
-    thetas = _check_distributions(thetas)
-    if thetas.shape[0] < 2:
-        raise ValueError("need at least 2 documents")
-    return SurpriseSeries(kind="T2P", values=_window_mean_values(thetas, None), ordering=ordering)
+    thetas = _check_sequence(thetas)
+    return SurpriseSeries(kind="T2P", values=_window_mean_values(thetas), ordering=ordering)
 
 
 def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> SurpriseSeries:
@@ -130,16 +142,14 @@ def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> Surprise
     """
     if n_window < 1:
         raise ValueError(f"n_window must be >= 1, got {n_window}")
-    thetas = _check_distributions(thetas)
-    if thetas.shape[0] < 2:
-        raise ValueError("need at least 2 documents")
+    thetas = _check_sequence(thetas)
     # The definition collapses at the extremes; reuse the identical
     # arithmetic there so the equalities hold exactly, not just to
     # rounding error.
     if n_window == 1:
         values = _pairwise_values(thetas)
     elif n_window >= thetas.shape[0] - 1:
-        values = _window_mean_values(thetas, None)
+        values = _window_mean_values(thetas)
     else:
         values = _window_mean_values(thetas, n_window)
     return SurpriseSeries(kind="T2N", values=values, ordering=ordering, n_window=n_window)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import readpath
-from readpath import epochs, nullmodel, paths, surprise
+from readpath import epochs, nullmodel, paths, surprise, topics
 from readpath.cli import main
 
 from conftest import build_demo
@@ -39,6 +39,16 @@ class TestIngest:
         first = cache.read_bytes()
         assert main(["ingest", "--config", str(cfg)]) == 0
         assert cache.read_bytes() == first
+
+    def test_cache_independent_of_input_location(self, tmp_path):
+        caches = []
+        for where in ("a", "b/nested"):
+            (tmp_path / where).mkdir(parents=True)
+            cfg = build_demo(tmp_path / where)
+            assert main(["ingest", "--config", str(cfg)]) == 0
+            caches.append((tmp_path / where / "out" / "corpus.json").read_bytes())
+        assert caches[0] == caches[1]
+        assert b'"text_path":"texts/v000.txt"' in caches[0]
 
 
 class TestRun:
@@ -90,12 +100,14 @@ class TestRun:
 
 
 class TestStagedPipeline:
-    def test_stage_by_stage_matches_run(self, tmp_path):
+    @pytest.mark.parametrize("epoch_input", ["raw", "relative"])
+    def test_stage_by_stage_matches_run(self, tmp_path, epoch_input):
         cfg = build_demo(tmp_path)
         out2 = tmp_path / "staged"
+        flags = ["--config", str(cfg), "--epochs.input", epoch_input]
         for cmd in ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs"):
-            assert main([cmd, "--config", str(cfg), "--out", str(out2)]) == 0, cmd
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "oneshot")]) == 0
+            assert main([cmd, *flags, "--out", str(out2)]) == 0, cmd
+        assert main(["run", *flags, "--out", str(tmp_path / "oneshot")]) == 0
         oneshot = tmp_path / "oneshot" / "k2"
         declared = json.loads((oneshot / "manifest.json").read_text())["files"]
         # run alone writes the summary; the model sidecar carries a timestamp
@@ -103,6 +115,17 @@ class TestStagedPipeline:
         assert sorted(p.name for p in (out2 / "k2").iterdir()) == sorted(names + ["model.meta.json"])
         for name in names:
             assert (out2 / "k2" / name).read_bytes() == (oneshot / name).read_bytes(), name
+        assert json.loads((oneshot / "epochs_t2t.json").read_text())["series_input"] == epoch_input
+
+    def test_exported_matrix_parses_back_exactly(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg), "--run.export_matrix", "true"]) == 0
+        kdir = tmp_path / "out" / "k2"
+        assert "matrix.csv" in json.loads((kdir / "manifest.json").read_text())["files"]
+        rows = (kdir / "matrix.csv").read_text(encoding="utf-8").splitlines()
+        parsed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows[1:]])
+        expected = paths.divergence_matrix(topics.load_model(kdir / "model.bin").theta)
+        np.testing.assert_array_equal(parsed, expected)
 
 
 class TestWorkPerK:
@@ -140,6 +163,24 @@ class TestWorkPerK:
             "_segment_score_table": 4,
         }
 
+    @pytest.mark.parametrize("command", ["null", "ranks"])
+    def test_stage_command_draws_one_ensemble(self, tmp_path, monkeypatch, command):
+        cfg = build_demo(tmp_path)
+        flags = ["--config", str(cfg), "--topics.k_list", "2,3"]
+        for cmd in ("ingest", "train"):
+            assert main([cmd, *flags]) == 0
+        drawn = Counter()
+        batch = nullmodel.ConstrainedPermutationSampler.sample_batch
+
+        def counted(sampler, rng, count):
+            drawn["permutations"] += count
+            return batch(sampler, rng, count)
+
+        monkeypatch.setattr(nullmodel.ConstrainedPermutationSampler, "sample_batch", counted)
+        assert main([command, *flags]) == 0
+        # the ensemble does not depend on k: one draw of M serves both k
+        assert drawn == {"permutations": DEMO_SAMPLES}
+
 
 class TestArtifactChecks:
     @pytest.mark.parametrize("edit", ["truncated", "oversized"])
@@ -161,6 +202,31 @@ class TestArtifactChecks:
         null_csv = tmp_path / "out" / "k2" / "null_t2t.csv"
         rows = null_csv.read_text(encoding="utf-8").splitlines()
         null_csv.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")  # D - 2 positions
+        capsys.readouterr()
+        assert main(["epochs", "--config", str(cfg)]) == 1
+        assert "null_t2t.csv" in capsys.readouterr().err
+
+    def test_model_for_another_corpus_exit_1(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        manifest = tmp_path / "manifest.csv"
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")  # one volume fewer
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["surprise", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "model.bin" in err and "12 documents" in err and "11" in err
+
+    def test_null_csv_row_without_mean_exit_1_names_file(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        null_csv = tmp_path / "out" / "k2" / "null_t2t.csv"
+        rows = null_csv.read_text(encoding="utf-8").splitlines()
+        rows[-1] = rows[-1].split(",")[0]  # the position alone
+        null_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["epochs", "--config", str(cfg)]) == 1
         assert "null_t2t.csv" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from readpath.errors import InputError
@@ -14,9 +17,34 @@ from readpath.nullmodel import (
     publication_order_series,
     sample_constrained_permutation,
 )
-from readpath.surprise import t2p_series, t2t_series
+from readpath.surprise import kl_divergence, t2p_series, t2t_series
 
 from conftest import make_records, random_simplex
+
+
+def scalar_exact_within_year_values(thetas, groups, kind):
+    """Loop reference for the exact publication-order mean: one scalar
+    `kl_divergence` per (order, position), summed in enumeration order."""
+    vals, prefix, n_before, prev = [], np.zeros(thetas.shape[1]), 0, None
+    for g in groups:
+        acc = np.zeros(len(g))
+        for perm in itertools.permutations(g):
+            running, nb = prefix.copy(), n_before
+            for r, doc in enumerate(perm):
+                if kind == "T2P" and nb > 0:
+                    acc[r] += kl_divergence(thetas[doc], running / nb)
+                elif kind == "T2T" and r >= 1:
+                    acc[r] += kl_divergence(thetas[doc], thetas[perm[r - 1]])
+                running += thetas[doc]
+                nb += 1
+        acc /= math.factorial(len(g))
+        if kind == "T2T" and prev is not None:
+            acc[0] = np.mean([kl_divergence(thetas[b], thetas[a]) for a in prev for b in g])
+        vals.extend(acc)
+        prefix += thetas[g].sum(axis=0)
+        n_before += len(g)
+        prev = g
+    return np.array(vals[1:])
 
 
 def valid_permutations(records):
@@ -190,6 +218,32 @@ class TestPublicationOrder:
                 acc += fn(thetas[list(g1 + g2)]).values
                 count += 1
         np.testing.assert_allclose(series.values, acc / count, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(
+            lambda sizes: sum(sizes) >= 2 and math.prod(map(math.factorial, sizes)) <= 1440
+        ),
+        k=st.integers(2, 8),
+        kind=st.sampled_from(["T2T", "T2P"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[2, 6, 1], k=3, kind="T2T", seed=0)  # 720 orders: several blocks
+    @example(sizes=[6, 2], k=8, kind="T2P", seed=1)
+    def test_exact_mode_matches_full_product_enumeration_any_ties(self, sizes, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        pub_years = rng.permutation(np.repeat(1840 + np.arange(len(sizes)), sizes)).tolist()
+        records = make_records(pub_years=pub_years, read_years=[1850] * len(pub_years))
+        thetas = random_simplex(rng, len(records), k)
+        series = publication_order_series(thetas, records, kind, NullConfig())
+        fn = t2t_series if kind == "T2T" else t2p_series
+        groups = [[i for i, y in enumerate(pub_years) if y == year] for year in sorted(set(pub_years))]
+        orders = itertools.product(*[itertools.permutations(g) for g in groups])
+        values = [fn(thetas[list(itertools.chain(*order))]).values for order in orders]
+        np.testing.assert_allclose(series.values, np.mean(values, axis=0), rtol=0, atol=1e-12)
+        # the blocked kernel keeps the loop's arithmetic, so the exports stay byte-stable
+        reference = scalar_exact_within_year_values(thetas, groups, kind)
+        np.testing.assert_array_equal(series.values, reference)
 
     def test_monte_carlo_mode_approximates_exact(self, rng):
         records = make_records(pub_years=[1840, 1850, 1850], read_years=[1850, 1850, 1851])
