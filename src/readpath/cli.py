@@ -13,10 +13,13 @@ wall-clock timestamps appear only in the *.meta.json sidecars.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as _dt
 import json
+import resource
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -38,6 +41,9 @@ _COMMANDS = (
     "greedy", "ranks", "epochs", "run", "report",
 )
 
+# Stages whose wall seconds `run` records in run_meta.json.
+_STAGES = ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs")
+
 
 def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
@@ -49,6 +55,22 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _timed(seconds: dict[str, float], stage: str):
+    """Add the wall time of the block to ``seconds[stage]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[stage] += time.perf_counter() - start
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size (ru_maxrss: bytes on macOS, KiB elsewhere)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 # --------------------------------------------------------------------------
@@ -321,29 +343,38 @@ def _declared_exports(cfg: RunConfig) -> list[str]:
 def cmd_run(cfg: RunConfig) -> None:
     """Whole pipeline: ingest (when needed), train per k, every analysis,
     one bundle directory per k with a summary and a file manifest."""
+    stage_s = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    if not _corpus_path(cfg).exists():
-        if cfg.manifest is None:
-            raise InputError("no corpus cache and no corpus.manifest configured")
-        cmd_ingest(cfg)
-    records, vocab, matrix = _load_corpus(cfg)
-    models = _train_models(cfg, vocab, matrix)
+    with _timed(stage_s, "ingest"):
+        if not _corpus_path(cfg).exists():
+            if cfg.manifest is None:
+                raise InputError("no corpus cache and no corpus.manifest configured")
+            cmd_ingest(cfg)
+        records, vocab, matrix = _load_corpus(cfg)
+    with _timed(stage_s, "train"):
+        models = _train_models(cfg, vocab, matrix)
 
     for k, model in models.items():
         kdir = _kdir(cfg, k)
-        series = _step_surprise(kdir, model, records)
-        # Drawn per k although it does not depend on k: held across the k
-        # loop it would overlap the epoch fit's D x D tables and raise the
-        # peak RSS, and a single-k run would save nothing.
-        perms = null_mod.null_permutations(records, cfg.null_config())
-        nulls = _step_null(kdir, model, perms, cfg)
-        puborder = _step_puborder(kdir, model, records, cfg)
-        matrix = paths_mod.divergence_matrix(model.theta)
-        greedy = _step_greedy(kdir, model, records, cfg, matrix)
-        ranks = _step_ranks(kdir, matrix, perms)
+        with _timed(stage_s, "surprise"):
+            series = _step_surprise(kdir, model, records)
+        with _timed(stage_s, "null"):
+            # Drawn per k although it does not depend on k: held across the k
+            # loop it would overlap the epoch fit's D x D tables and raise the
+            # peak RSS, and a single-k run would save nothing.
+            perms = null_mod.null_permutations(records, cfg.null_config())
+            nulls = _step_null(kdir, model, perms, cfg)
+        with _timed(stage_s, "puborder"):
+            puborder = _step_puborder(kdir, model, records, cfg)
+        with _timed(stage_s, "greedy"):
+            matrix = paths_mod.divergence_matrix(model.theta)
+            greedy = _step_greedy(kdir, model, records, cfg, matrix)
+        with _timed(stage_s, "ranks"):
+            ranks = _step_ranks(kdir, matrix, perms)
         # Free the D x D matrix before the epoch fit builds its D x D tables.
         del matrix, perms
-        epoch_info = _step_epochs(kdir, series, records, cfg, nulls)
+        with _timed(stage_s, "epochs"):
+            epoch_info = _step_epochs(kdir, series, records, cfg, nulls)
 
         summary = {
             "format_version": SUMMARY_FORMAT_VERSION,
@@ -381,7 +412,14 @@ def cmd_run(cfg: RunConfig) -> None:
 
     _dump_json(
         cfg.out / "run_meta.json",
-        {"created_utc": _utc_now(), "k_list": cfg.k_list, "seed": cfg.seed},
+        {
+            "created_utc": _utc_now(),
+            "k_list": cfg.k_list,
+            "seed": cfg.seed,
+            "stage_seconds": stage_s,
+            "peak_rss_mb": _peak_rss_mb(),
+            "sweep_kernel": topics_mod.sweep_kernel(),
+        },
     )
 
 

@@ -108,7 +108,12 @@ class CorpusMatrix:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.counts = np.asarray(counts, dtype=np.int64)
         self.n_vocab = int(n_vocab)
-        if self.indptr.ndim != 1 or self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+        if (
+            self.indptr.ndim != 1
+            or len(self.indptr) == 0
+            or self.indptr[0] != 0
+            or self.indptr[-1] != len(self.indices)
+        ):
             raise ValueError("malformed indptr")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must be nondecreasing")
@@ -360,28 +365,39 @@ def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, Corpus
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"corpus cache {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"corpus cache {path} is not a JSON object")
     if payload.get("kind") != "corpus-cache" or payload.get("format_version") != CACHE_FORMAT_VERSION:
         raise InputError(f"corpus cache {path}: unsupported format tag")
-    records = [
-        VolumeRecord(
-            id=r["id"],
-            title=r["title"],
-            read_date=date.fromisoformat(r["read_date"]),
-            read_seq=r["read_seq"],
-            pub_year=r["pub_year"],
-            text_path=r["text_path"],
+    try:
+        records = [
+            VolumeRecord(
+                id=r["id"],
+                title=r["title"],
+                read_date=date.fromisoformat(r["read_date"]),
+                read_seq=int(r["read_seq"]),
+                pub_year=int(r["pub_year"]),
+                text_path=r["text_path"],
+            )
+            for r in payload["records"]
+        ]
+        vocab = Vocabulary(
+            tokens=tuple(payload["vocabulary"]["tokens"]),
+            frequencies=tuple(payload["vocabulary"]["frequencies"]),
         )
-        for r in payload["records"]
-    ]
-    vocab = Vocabulary(
-        tokens=tuple(payload["vocabulary"]["tokens"]),
-        frequencies=tuple(payload["vocabulary"]["frequencies"]),
-    )
-    docs = payload["documents"]
-    matrix = CorpusMatrix(
-        indptr=np.asarray(docs["indptr"], dtype=np.int64),
-        indices=np.asarray(docs["indices"], dtype=np.int64),
-        counts=np.asarray(docs["counts"], dtype=np.int64),
-        n_vocab=len(vocab),
-    )
+        docs = payload["documents"]
+        matrix = CorpusMatrix(
+            indptr=np.asarray(docs["indptr"], dtype=np.int64),
+            indices=np.asarray(docs["indices"], dtype=np.int64),
+            counts=np.asarray(docs["counts"], dtype=np.int64),
+            n_vocab=len(vocab),
+        )
+    except KeyError as exc:
+        raise InputError(f"malformed corpus cache {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed corpus cache {path}: {exc}") from exc
+    if len(records) != matrix.n_docs:
+        raise InputError(
+            f"malformed corpus cache {path}: {len(records)} records for {matrix.n_docs} documents"
+        )
     return records, vocab, matrix

@@ -12,7 +12,9 @@ all valid permutations.
 
 Sample j of an ensemble draws from its own PCG64 stream seeded by
 (seed, j). `null_permutations` is the one place that samples: both null
-kinds (`build_null`) and the rank statistics read the same M orders.
+kinds (`build_null`) and the rank statistics read the same M orders. It
+fills all M permutations slot by slot together, one array step per slot
+(D steps over M rows), in one `sample_batch` call.
 Every value comes from `surprise`'s row kernel; the exact publication-order
 mean evaluates each year's tie orders in fixed-size blocks.
 """
@@ -23,6 +25,7 @@ import csv
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,29 +100,43 @@ class ConstrainedPermutationSampler:
                 f"{self.available_by_slot[t]} feasible titles for {t + 1} slots"
             )
 
-    def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` independent permutations using ``rng``."""
-        u = rng.random((count, self.n)).tolist()  # plain floats: the loop is hot
+    def sample_batch(
+        self, rng: np.random.Generator | Sequence[np.random.Generator], count: int
+    ) -> np.ndarray:
+        """Draw ``count`` independent permutations. ``rng`` is one Generator,
+        whose uniforms fill the rows in turn, or a sequence of ``count``
+        Generators, one per row.
+
+        Every row is filled slot by slot in lockstep: at slot t each row's
+        pool of feasible titles not yet placed has the same size,
+        ``available_by_slot[t] - t``, so one array step appends the slot's
+        arrivals to every pool, picks ``pool[int(u * size)]`` in each row
+        and swap-removes the pick.
+        """
+        # The result is allocated first, below the temporaries in the heap,
+        # so that they can be given back to the system when freed.
         out = np.empty((count, self.n), dtype=np.int64)
-        arrival = self.arrival_order.tolist()
-        avail = self.available_by_slot.tolist()
-        for s in range(count):
-            us = u[s]
-            row = out[s]
-            pool: list[int] = []
-            ptr = 0
-            for t in range(self.n):
-                stop = avail[t]
-                while ptr < stop:
-                    pool.append(arrival[ptr])
-                    ptr += 1
-                m = len(pool)
-                j = int(us[t] * m)
-                if j >= m:  # guards the u ~ 1.0 rounding edge
-                    j = m - 1
-                row[t] = pool[j]
-                pool[j] = pool[-1]
-                pool.pop()
+        u = np.empty((count, self.n))
+        if isinstance(rng, np.random.Generator):
+            rng.random(out=u)
+        else:
+            if len(rng) != count:
+                raise ValueError(f"need one generator per sample: {len(rng)} for {count}")
+            for row, g in zip(u, rng):
+                g.random(out=row)
+        sizes = self.available_by_slot - np.arange(self.n)
+        # min() keeps u = 1.0 in the pool; a Generator's doubles stay below 1.
+        picks = np.minimum((u * sizes).astype(np.int64), sizes - 1)
+        rows = np.arange(count)
+        pool = np.empty((count, self.n), dtype=np.int64)
+        size = 0
+        for t, stop in enumerate(self.available_by_slot.tolist()):
+            arrivals = self.arrival_order[size + t : stop]
+            pool[:, size : size + len(arrivals)] = arrivals
+            size += len(arrivals) - 1
+            j = picks[:, t]
+            out[:, t] = pool[rows, j]
+            pool[rows, j] = pool[:, size]
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -144,9 +161,8 @@ def null_permutations(records, config: NullConfig) -> np.ndarray:
     against the publication constraint; row j comes from stream (seed, j),
     so a rerun regenerates exactly the same orders."""
     sampler = ConstrainedPermutationSampler(records)
-    out = np.empty((config.samples, sampler.n), dtype=np.int64)
-    for j in range(config.samples):
-        out[j] = sampler.sample(_sample_rng(config.seed, j))
+    rngs = [_sample_rng(config.seed, j) for j in range(config.samples)]
+    out = sampler.sample_batch(rngs, config.samples)
     sampler.check(out)
     return out
 

@@ -82,6 +82,17 @@ class TestRun:
         assert (tmp_path / "o2" / "k2" / "summary.json").read_bytes() == ref
         assert (tmp_path / "o3" / "k2" / "summary.json").read_bytes() == ref
 
+    def test_run_meta_records_stage_telemetry(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        stages = ["ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs"]
+        assert sorted(meta["stage_seconds"]) == sorted(stages)
+        assert all(meta["stage_seconds"][s] > 0 for s in stages)
+        assert meta["peak_rss_mb"] > 0
+        assert meta["sweep_kernel"] == topics.sweep_kernel()
+        assert meta["k_list"] == [2, 3] and meta["seed"] == 5
+
     def test_override_flag_changes_k(self, tmp_path):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg), "--k", "3"]) == 0
@@ -230,6 +241,44 @@ class TestArtifactChecks:
         capsys.readouterr()
         assert main(["epochs", "--config", str(cfg)]) == 1
         assert "null_t2t.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "truncated",
+            "not_an_object",
+            "record_dropped",
+            "pub_year_missing",
+            "pub_year_null",
+            "vocabulary_key_missing",
+            "indptr_malformed",
+        ],
+    )
+    def test_malformed_corpus_cache_exit_1_names_file(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        cache = tmp_path / "out" / "corpus.json"
+        data = cache.read_bytes()
+        if edit == "truncated":
+            cache.write_bytes(data[: len(data) // 2])
+        elif edit == "not_an_object":
+            cache.write_text("[]", encoding="utf-8")
+        else:
+            payload = json.loads(data)
+            if edit == "record_dropped":
+                payload["records"].pop()
+            elif edit == "pub_year_missing":
+                del payload["records"][3]["pub_year"]
+            elif edit == "pub_year_null":
+                payload["records"][3]["pub_year"] = None
+            elif edit == "vocabulary_key_missing":
+                del payload["vocabulary"]["frequencies"]
+            else:
+                payload["documents"]["indptr"][-1] += 1
+            cache.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "corpus.json" in capsys.readouterr().err
 
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(readpath.__file__).resolve().parents[1])

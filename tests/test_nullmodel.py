@@ -47,6 +47,36 @@ def scalar_exact_within_year_values(thetas, groups, kind):
     return np.array(vals[1:])
 
 
+def loop_sample_batch(sampler, u):
+    """Per-sample loop reference for `sample_batch`: each row fills its
+    slots one by one from a list pool, with uniforms ``u[row]``."""
+    out = np.empty(u.shape, dtype=np.int64)
+    arrival = sampler.arrival_order.tolist()
+    avail = sampler.available_by_slot.tolist()
+    for s, us in enumerate(u.tolist()):
+        pool, ptr = [], 0
+        for t in range(sampler.n):
+            while ptr < avail[t]:
+                pool.append(arrival[ptr])
+                ptr += 1
+            m = len(pool)
+            j = min(int(us[t] * m), m - 1)
+            out[s, t] = pool[j]
+            pool[j] = pool[-1]
+            pool.pop()
+    return out
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next uniforms are ``values``."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, out):
+        out[:] = self.values
+
+
 def valid_permutations(records):
     """Brute-force enumeration oracle over all date-feasible assignments."""
     n = len(records)
@@ -93,6 +123,38 @@ class TestSampler:
         sampler = ConstrainedPermutationSampler(records)
         for perm in sampler.sample_batch(rng, 500):
             sampler.check(perm)  # raises on violation
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=30),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(steps=[(1, 0)] * 5, count=3, seed=0)  # every pool holds one title
+    @example(steps=[(0, 3)] * 8, count=4, seed=1)  # one shared pool
+    def test_lockstep_batch_matches_per_sample_loop(self, steps, count, seed):
+        read_years = 1840 + np.cumsum([gap for gap, _ in steps])
+        pub_years = read_years - np.array([lag for _, lag in steps])
+        sampler = ConstrainedPermutationSampler(make_records(pub_years.tolist(), read_years.tolist()))
+        rng = np.random.default_rng(seed)
+        u = rng.random((count, sampler.n))
+        # the largest double below 1 takes a pool's last title; 1.0 itself,
+        # which no Generator draws, exercises the j >= size guard
+        edge = rng.random(u.shape)
+        u[edge < 0.2] = np.nextafter(1.0, 0.0)
+        u[edge > 0.9] = 1.0
+        expected = loop_sample_batch(sampler, u)
+        got = sampler.sample_batch([FixedUniforms(row) for row in u], count)
+        np.testing.assert_array_equal(got, expected)
+        # one Generator fills the rows from its uniforms in turn
+        got = sampler.sample_batch(np.random.default_rng(seed), count)
+        expected = loop_sample_batch(sampler, np.random.default_rng(seed).random((count, sampler.n)))
+        np.testing.assert_array_equal(got, expected)
+
+    def test_generator_count_must_match(self):
+        sampler = ConstrainedPermutationSampler(make_records(pub_years=[1840] * 3))
+        with pytest.raises(ValueError, match="one generator per sample"):
+            sampler.sample_batch([np.random.default_rng(0)] * 2, 3)
 
     def test_infeasible_instance_rejected(self):
         # no title is published by the first slot's year
@@ -168,6 +230,20 @@ class TestBuildNull:
         perms1 = null_permutations(records, cfg)
         perms2 = null_permutations(records, cfg)
         np.testing.assert_array_equal(perms1, perms2)
+
+    def test_null_permutations_are_per_stream_reference_draws(self):
+        records = make_records(
+            pub_years=[1838, 1840, 1840, 1841, 1835, 1843, 1842, 1844],
+            read_years=[1840, 1840, 1841, 1842, 1843, 1843, 1844, 1845],
+        )
+        cfg = NullConfig(samples=30, seed=11)
+        sampler = ConstrainedPermutationSampler(records)
+        # row j draws its D uniforms from the PCG64 stream seeded by (seed, j)
+        u = np.array([
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, j)))).random(len(records))
+            for j in range(cfg.samples)
+        ])
+        np.testing.assert_array_equal(null_permutations(records, cfg), loop_sample_batch(sampler, u))
 
     def test_bad_kind_rejected(self, rng):
         records = make_records(pub_years=[1840] * 3, read_years=[1850] * 3)

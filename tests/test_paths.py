@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readpath.paths import (
+    _move_ranks,
     consecutive_ranks,
     divergence_matrix,
     greedy_t2p_path,
@@ -19,6 +20,19 @@ def random_matrix_strategy(d=6):
     return st.integers(min_value=0, max_value=2**31 - 1).map(
         lambda seed: _random_matrix(np.random.default_rng(seed), d)
     )
+
+
+def tie_heavy_matrix(rng, d, kind):
+    """Matrices with many exact ties: small integers (the diagonal too),
+    divergences of repeated theta rows (exact off-diagonal zeros), or
+    small integers with some NaN entries."""
+    if kind == "duplicate_thetas":
+        distinct = random_simplex(rng, max(1, d // 3), 3)
+        return divergence_matrix(distinct[rng.integers(0, len(distinct), d)])
+    m = rng.integers(0, 3, (d, d)).astype(np.float64)
+    if kind == "nan":
+        m[rng.random((d, d)) < 0.2] = np.nan
+    return m
 
 
 def _random_matrix(rng, d):
@@ -164,3 +178,31 @@ class TestRanks:
         np.testing.assert_allclose(
             rd.ratio[ok], rd.observed_props[ok] / rd.null_props[ok], atol=1e-12
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        n_null=st.integers(1, 8),
+        kind=st.sampled_from(["integer", "duplicate_thetas", "nan"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=7, n_null=1, kind="duplicate_thetas", seed=0)
+    @example(d=2, n_null=1, kind="integer", seed=3)
+    def test_sorted_row_ranks_equal_consecutive_ranks(self, d, n_null, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = tie_heavy_matrix(rng, d, kind)
+        orders = np.array([rng.permutation(d) for _ in range(n_null + 1)])
+        expected = np.array([consecutive_ranks(m, o) for o in orders])
+        np.testing.assert_array_equal(_move_ranks(m, orders), expected)
+        rd = rank_distribution(m, orders[0], orders[1:])
+        np.testing.assert_array_equal(rd.observed_ranks, expected[0])
+        np.testing.assert_array_equal(rd.null_counts, np.histogram(expected[1:], bins=rd.bin_edges)[0])
+
+    @pytest.mark.parametrize(
+        "null_orders",
+        [np.zeros((0, 4), dtype=int), np.arange(4), [[0, 1, 2]], [[0, 1, 2, 3], [0, 1, 1, 3]]],
+        ids=["empty", "one_dimensional", "wrong_length", "not_a_permutation"],
+    )
+    def test_bad_null_orders_rejected(self, rng, null_orders):
+        with pytest.raises(ValueError):
+            rank_distribution(_random_matrix(rng, 4), np.arange(4), null_orders)
