@@ -353,16 +353,14 @@ def cmd_run(cfg: RunConfig) -> None:
         records, vocab, matrix = _load_corpus(cfg)
     with _timed(stage_s, "train"):
         models = _train_models(cfg, vocab, matrix)
+    with _timed(stage_s, "null"):
+        perms = null_mod.null_permutations(records, cfg.null_config())
 
     for k, model in models.items():
         kdir = _kdir(cfg, k)
         with _timed(stage_s, "surprise"):
             series = _step_surprise(kdir, model, records)
         with _timed(stage_s, "null"):
-            # Drawn per k although it does not depend on k: held across the k
-            # loop it would overlap the epoch fit's D x D tables and raise the
-            # peak RSS, and a single-k run would save nothing.
-            perms = null_mod.null_permutations(records, cfg.null_config())
             nulls = _step_null(kdir, model, perms, cfg)
         with _timed(stage_s, "puborder"):
             puborder = _step_puborder(kdir, model, records, cfg)
@@ -371,8 +369,7 @@ def cmd_run(cfg: RunConfig) -> None:
             greedy = _step_greedy(kdir, model, records, cfg, matrix)
         with _timed(stage_s, "ranks"):
             ranks = _step_ranks(kdir, matrix, perms)
-        # Free the D x D matrix before the epoch fit builds its D x D tables.
-        del matrix, perms
+        del matrix  # free the D x D divergence matrix before the epoch fit
         with _timed(stage_s, "epochs"):
             epoch_info = _step_epochs(kdir, series, records, cfg, nulls)
 

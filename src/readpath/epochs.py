@@ -13,7 +13,7 @@ use is a comparison between segmentations. Natural log throughout, so a
 log-likelihood gain dL means exp(dL) times as likely.
 
 `fit` searches all break placements that satisfy the minimum epoch
-length with a dynamic program over a segment score table and returns the
+length with a suffix dynamic program over segment scores and returns the
 global maximum; ties resolve to the lexicographically smallest break
 vector.
 
@@ -31,10 +31,11 @@ selected model's breaks are still the maximum-likelihood ones `fit`
 finds; the log-likelihood and AIC = 2*(3n - 1) - 2*loglik are kept
 alongside for comparison.
 
-A series costs one (L+1)^2 evidence table, freed once reduced to the
-n_max log evidences, then one score table: a single max dynamic program
-over it gives every n's maximum-likelihood breaks, and its [0, b] +
-[b, L] entries the single-break landscape.
+Each dynamic program is one `_suffix_dp` pass, which scores segments
+from prefix sums in blocks of B = _BLOCK start rows: O(L^2) time and
+O(B * L) memory per pass for a series of L positions. A series costs a
+max, an evidence and a placement-count pass; its single-break landscape
+is row 0 plus column L of the scores, O(L).
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -48,6 +49,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,9 @@ DAYS_PER_YEAR = 365.25
 # series (see evidence_prior).
 PRIOR_KAPPA0 = 0.1
 PRIOR_A0 = 1.0
+
+# Start rows scored at once by `_suffix_dp`.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -143,50 +148,104 @@ def _min_length_by_start(length: int, config: EpochSearchConfig, dates: list[dat
     return np.concatenate([ml, [big]]).astype(np.int64)
 
 
-def _segment_score_table(x: np.ndarray, min_len: np.ndarray, variance_floor: float) -> np.ndarray:
-    """(L+1) x (L+1) table: entry [a, b] is the segment [a, b) loglik, or
-    -inf where the segment is infeasible. Series is centered first so the
-    prefix-sum variance stays numerically tame."""
-    length = len(x)
+def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative sums of the series and of its squares, entry i covering
+    x[:i]. The series is centred at its mean first, which is also the
+    prior's m0, so the prefix-sum moments stay numerically tame."""
     c = x - x.mean()
-    cs = np.concatenate([[0.0], np.cumsum(c)])
-    css = np.concatenate([[0.0], np.cumsum(c * c)])
-    a = np.arange(length + 1)
-    m = a[None, :] - a[:, None]
-    s = cs[None, :] - cs[:, None]
-    ss = css[None, :] - css[:, None]
+    return np.concatenate([[0.0], np.cumsum(c)]), np.concatenate([[0.0], np.cumsum(c * c)])
+
+
+def _loglik_scores(cs, css, min_len: np.ndarray, variance_floor: float, a, b) -> np.ndarray:
+    """Profiled loglik of segments [a, b) over broadcast index arrays, or
+    -inf where a segment is shorter than the minimum of its start."""
+    m = b - a
+    s = cs[b] - cs[a]
+    ss = css[b] - css[a]
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = s / m
         var = np.maximum(ss / m - mu * mu, variance_floor)
-        table = -(m / 2.0) * (1.0 + np.log(2.0 * np.pi * var))
-    table[m < min_len[:, None]] = -np.inf
-    return table
+        score = -(m / 2.0) * (1.0 + np.log(2.0 * np.pi * var))
+    score[m < min_len[a]] = -np.inf
+    return score
+
+
+def _evidence_scores(cs, css, min_len: np.ndarray, prior: dict, a, b) -> np.ndarray:
+    """Log marginal likelihood of segments [a, b) under the prior, over
+    broadcast index arrays, or -inf where a segment is shorter than the
+    minimum of its start. The prefix sums are deviations from m0."""
+    m = b - a
+    s = cs[b] - cs[a]
+    ss = css[b] - css[a]
+    k0, a0, b0 = prior["kappa0"], prior["a0"], prior["b0"]
+    # Terms that depend on the segment length only, indexed by it.
+    lengths = np.arange(len(cs), dtype=np.float64)
+    by_length = (
+        gammaln(a0 + lengths / 2.0) - gammaln(a0) + a0 * math.log(b0)
+        + 0.5 * (math.log(k0) - np.log(k0 + lengths)) - (lengths / 2.0) * math.log(2.0 * math.pi)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_dev = s / m  # segment mean minus m0
+        scatter = np.maximum(ss - s * mean_dev, 0.0)
+        bn = b0 + scatter / 2.0 + k0 * m * mean_dev * mean_dev / (2.0 * (k0 + m))
+        score = by_length[np.maximum(m, 0)] - (a0 + m / 2.0) * np.log(bn)
+    score[m < min_len[a]] = -np.inf
+    return score
+
+
+def _feasible_scores(min_len: np.ndarray, a, b) -> np.ndarray:
+    """0 where segment [a, b) meets the minimum of its start, else -inf:
+    summed over placements, these count the admissible ones."""
+    return np.where(b - a < min_len[a], -np.inf, 0.0)
+
+
+_row_max = partial(np.max, axis=1)
+
+
+def _row_logsumexp(terms: np.ndarray) -> np.ndarray:
+    top = terms.max(axis=1)
+    finite = np.isfinite(top)
+    out = np.full(len(terms), -np.inf)
+    with np.errstate(invalid="ignore"):
+        out[finite] = top[finite] + np.log(np.exp(terms[finite] - top[finite, None]).sum(axis=1))
+    return out
+
+
+def _suffix_dp(score, length: int, n_max: int, reduce) -> np.ndarray:
+    """Row j, entry a: ``reduce`` (row max or row logsumexp) over every
+    split of the suffix [a, L) into j feasible segments of their total
+    ``score``, -inf where none exists, for j = 0..n_max.
+
+    Start row a meets only suffix entries b > a, so the rows are scored in
+    descending blocks of _BLOCK, each scored once and run through every j
+    before the next block: O(L^2) time and O(_BLOCK * L) memory."""
+    acc = np.full((n_max + 1, length + 1), -np.inf)
+    acc[0, length] = 0.0
+    cols = np.arange(length + 1)
+    for hi in range(length + 1, 0, -_BLOCK):
+        lo = max(hi - _BLOCK, 0)
+        rows = score(np.arange(lo, hi)[:, None], cols)
+        for j in range(1, n_max + 1):
+            acc[j, lo:hi] = reduce(rows + acc[j - 1])
+    return acc
 
 
 def _infeasible(length: int, n: int) -> InputError:
     return InputError(f"series of {length} positions cannot hold {n} epoch(s) of the minimum length")
 
 
-def _best_suffix_scores(table: np.ndarray, n_max: int) -> np.ndarray:
-    """Row j, entry a: the top total score splitting the suffix [a, L)
-    into j feasible segments (-inf where none exists), for j = 0..n_max."""
-    length = table.shape[0] - 1
-    best = np.full((n_max + 1, length + 1), -np.inf)
-    best[0, length] = 0.0
-    for j in range(1, n_max + 1):
-        best[j] = np.max(table + best[j - 1][None, :], axis=1)
-    return best
-
-
-def _ml_breaks(table: np.ndarray, best: np.ndarray, n: int) -> list[int]:
-    """Forward reconstruction of the n-segment maximum, which makes ties
-    resolve to the lexicographically smallest break vector."""
+def _ml_breaks(score, best: np.ndarray, n: int) -> list[int]:
+    """Forward reconstruction of the n-segment maximum from the `_suffix_dp`
+    row maxima, scoring only the rows it walks; taking the first maximizer
+    makes ties resolve to the lexicographically smallest break vector."""
+    length = best.shape[1] - 1
     if not np.isfinite(best[n, 0]):
-        raise _infeasible(table.shape[0] - 1, n)
+        raise _infeasible(length, n)
+    cols = np.arange(length + 1)
     breaks = [0]
     a = 0
     for j in range(n, 1, -1):
-        cand = table[a] + best[j - 1]
+        cand = score(a, cols) + best[j - 1]
         b = int(np.nonzero(cand == best[j, a])[0][0])
         breaks.append(b)
         a = b
@@ -208,18 +267,16 @@ def _model(x: np.ndarray, breaks: list[int], variance_floor: float) -> EpochMode
     )
 
 
-def _landscape(table: np.ndarray) -> np.ndarray:
-    length = table.shape[0] - 1
-    out = np.full(length + 1, np.nan)
-    v = table[0, 1:length] + table[1:length, length]
-    out[1:length] = np.where(np.isfinite(v), v, np.nan)
-    return out
+def _loglik_scorer(x: np.ndarray, config: EpochSearchConfig, dates) -> partial:
+    """`_loglik_scores` bound to the prefix sums and minimums of series x."""
+    min_len = _min_length_by_start(len(x), config, dates)
+    return partial(_loglik_scores, *_prefix_sums(x), min_len, config.variance_floor)
 
 
 def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = None) -> EpochModel:
     """Globally optimal n-epoch segmentation under the minimum-length
-    constraint. Suffix dynamic program over the segment score table with
-    forward reconstruction, which makes ties resolve to the
+    constraint: one `_suffix_dp` max pass, O(L^2) time and O(_BLOCK * L)
+    memory, with forward reconstruction, which makes ties resolve to the
     lexicographically smallest break vector."""
     x = _series_values(series)
     if len(x) == 0:
@@ -227,13 +284,12 @@ def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = No
     if n < 1:
         raise ValueError("n must be >= 1")
     length = len(x)
-    min_len = _min_length_by_start(length, config, dates)
-    if n == 1:  # no search needed, and no quadratic table for long series
-        if length < min_len[0]:
+    if n == 1:  # one segment, the whole series: no search
+        if length < _min_length_by_start(length, config, dates)[0]:
             raise _infeasible(length, 1)
         return _model(x, [0], config.variance_floor)
-    table = _segment_score_table(x, min_len, config.variance_floor)
-    return _model(x, _ml_breaks(table, _best_suffix_scores(table, n), n), config.variance_floor)
+    score = _loglik_scorer(x, config, dates)
+    return _model(x, _ml_breaks(score, _suffix_dp(score, length, n, _row_max), n), config.variance_floor)
 
 
 def evidence_prior(series, config: EpochSearchConfig) -> dict:
@@ -245,68 +301,21 @@ def evidence_prior(series, config: EpochSearchConfig) -> dict:
     return {"m0": float(x.mean()), "kappa0": PRIOR_KAPPA0, "a0": PRIOR_A0, "b0": PRIOR_A0 * var}
 
 
-def _segment_evidence_table(x: np.ndarray, min_len: np.ndarray, prior: dict) -> np.ndarray:
-    """(L+1) x (L+1) table: entry [a, b] is the log marginal likelihood of
-    segment [a, b) under the prior, or -inf where the segment is
-    infeasible. Deviations are taken from m0, so prefix sums stay tame."""
-    length = len(x)
-    c = x - prior["m0"]
-    cs = np.concatenate([[0.0], np.cumsum(c)])
-    css = np.concatenate([[0.0], np.cumsum(c * c)])
-    a = np.arange(length + 1)
-    m = a[None, :] - a[:, None]
-    s = cs[None, :] - cs[:, None]
-    ss = css[None, :] - css[:, None]
-    k0, a0, b0 = prior["kappa0"], prior["a0"], prior["b0"]
-    # Terms that depend on the segment length only, indexed by it.
-    lengths = a.astype(np.float64)
-    by_length = (
-        gammaln(a0 + lengths / 2.0) - gammaln(a0) + a0 * math.log(b0)
-        + 0.5 * (math.log(k0) - np.log(k0 + lengths)) - (lengths / 2.0) * math.log(2.0 * math.pi)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_dev = s / m  # segment mean minus m0
-        scatter = np.maximum(ss - s * mean_dev, 0.0)
-        bn = b0 + scatter / 2.0 + k0 * m * mean_dev * mean_dev / (2.0 * (k0 + m))
-        table = by_length[np.maximum(m, 0)] - (a0 + m / 2.0) * np.log(bn)
-    table[m < min_len[:, None]] = -np.inf
-    return table
-
-
-def _log_path_sums(table: np.ndarray, n_max: int) -> np.ndarray:
-    """Entry n - 1 is the log of the sum, over every split of [0, L) into
-    n feasible segments, of exp(total segment score): the suffix dynamic
-    program of `fit` with logsumexp in place of max."""
-    length = table.shape[0] - 1
-    acc = np.full(length + 1, -np.inf)
-    acc[length] = 0.0
-    out = []
-    for _ in range(n_max):
-        terms = table + acc[None, :]
-        top = terms.max(axis=1)
-        finite = np.isfinite(top)
-        acc = np.full(length + 1, -np.inf)
-        with np.errstate(invalid="ignore"):
-            acc[finite] = top[finite] + np.log(
-                np.exp(terms[finite] - top[finite, None]).sum(axis=1)
-            )
-        out.append(acc[0])
-    return np.array(out)
-
-
 def log_evidence(
     series, config: EpochSearchConfig, dates: list[date] | None = None
 ) -> np.ndarray:
     """Log marginal evidence for n = 1..n_max epochs (natural log) under
     the `evidence_prior` and a uniform prior over admissible break
-    placements; -inf where n epochs do not fit the minimum length."""
+    placements; -inf where n epochs do not fit the minimum length. Two
+    `_suffix_dp` logsumexp passes: the evidence and the placement count."""
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    min_len = _min_length_by_start(len(x), config, dates)
-    table = _segment_evidence_table(x, min_len, evidence_prior(x, config))
-    log_count = _log_path_sums(np.where(np.isfinite(table), 0.0, -np.inf), config.n_max)
-    log_total = _log_path_sums(table, config.n_max)
+    length, n_max = len(x), config.n_max
+    min_len = _min_length_by_start(length, config, dates)
+    evidence = partial(_evidence_scores, *_prefix_sums(x), min_len, evidence_prior(x, config))
+    log_total = _suffix_dp(evidence, length, n_max, _row_logsumexp)[1:, 0]
+    log_count = _suffix_dp(partial(_feasible_scores, min_len), length, n_max, _row_logsumexp)[1:, 0]
     with np.errstate(invalid="ignore"):
         return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
 
@@ -314,15 +323,14 @@ def log_evidence(
 def select_n_with_landscape(
     series, config: EpochSearchConfig, dates: list[date] | None = None
 ) -> tuple[EpochModel, list[dict], np.ndarray]:
-    """`select_n` and `single_break_landscape` of one series, from one
-    evidence table and one score table."""
+    """`select_n` and `single_break_landscape` of one series: the
+    `log_evidence` passes and one max pass for every n's breaks."""
     x = _series_values(series)
     evidence = log_evidence(x, config, dates)
-    min_len = _min_length_by_start(len(x), config, dates)
-    table = _segment_score_table(x, min_len, config.variance_floor)
-    best = _best_suffix_scores(table, config.n_max)
+    score = _loglik_scorer(x, config, dates)
+    best = _suffix_dp(score, len(x), config.n_max, _row_max)
     models = [
-        _model(x, _ml_breaks(table, best, n), config.variance_floor)
+        _model(x, _ml_breaks(score, best, n), config.variance_floor)
         for n in range(1, config.n_max + 1)
     ]
     chosen = int(np.argmax(evidence))
@@ -339,7 +347,7 @@ def select_n_with_landscape(
         }
         for i, m in enumerate(models)
     ]
-    return models[chosen], rows, _landscape(table)
+    return models[chosen], rows, single_break_landscape(x, config, dates)
 
 
 def select_n(
@@ -377,8 +385,13 @@ def single_break_landscape(
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    min_len = _min_length_by_start(len(x), config, dates)
-    return _landscape(_segment_score_table(x, min_len, config.variance_floor))
+    length = len(x)
+    score = _loglik_scorer(x, config, dates)
+    inner = np.arange(1, length)
+    out = np.full(length + 1, np.nan)
+    v = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)
+    out[1:length] = np.where(np.isfinite(v), v, np.nan)
+    return out
 
 
 def write_landscape_csv(path: Path | str, landscape: np.ndarray) -> None:

@@ -5,10 +5,12 @@ the surprise of moving to document j immediately after document i, so a
 greedy walk scans its current row for the smallest unvisited entry. The
 matrix is generally asymmetric.
 
-`rank_distribution` sorts each matrix row once and ranks every move of
-the observed and the M null orders by binary search in its row:
-O(D² log D + M·D log D) time and O(M·D) extra memory. `consecutive_ranks`,
-which compares each move against its whole row, is the plain reference.
+`rank_distribution` ranks each consecutive move's divergence within its
+row (1 = nearest neighbor), excluding the self entry, with equal
+divergences sharing the minimum (competition) rank. It sorts each matrix
+row once and ranks every move of the observed and the M null orders by
+binary search in its row: O(D² log D + M·D log D) time and O(M·D) extra
+memory.
 """
 
 from __future__ import annotations
@@ -106,21 +108,6 @@ def _check_permutation(order, d: int) -> np.ndarray:
     return o
 
 
-def consecutive_ranks(matrix: np.ndarray, order) -> np.ndarray:
-    """Rank of each consecutive move's divergence within its row (1 =
-    nearest neighbor), excluding the self entry; equal divergences share
-    the minimum (competition) rank."""
-    m = np.asarray(matrix, dtype=np.float64)
-    d = m.shape[0]
-    o = _check_permutation(order, d)
-    cur, nxt = o[:-1], o[1:]
-    rows = m[cur]
-    chosen = m[cur, nxt]
-    less = (rows < chosen[:, None]).sum(axis=1)
-    less -= (m[cur, cur] < chosen).astype(np.int64)  # self entry never competes
-    return (less + 1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class RankDistribution:
     observed_ranks: np.ndarray
@@ -135,8 +122,8 @@ class RankDistribution:
 
 
 def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """`consecutive_ranks` of every row of ``orders`` (checked permutations),
-    from one sort per matrix row: row i's moves are i -> the document after
+    """Move ranks of every row of ``orders`` (checked permutations), from
+    one sort per matrix row: row i's moves are i -> the document after
     i in each order, and a move's count of smaller entries in the row is a
     binary search of the sorted row."""
     d, n = m.shape[0], len(orders)
@@ -151,7 +138,7 @@ def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
         chosen = row[moves[i]]
         sorted_row = np.sort(row)
         less = np.searchsorted(sorted_row, chosen, side="left")
-        if np.isnan(sorted_row[-1]):  # sorted last; as in `consecutive_ranks`, NaN beats nothing
+        if np.isnan(sorted_row[-1]):  # sorted last; a NaN divergence beats nothing
             less[np.isnan(chosen)] = 0
         less -= row[i] < chosen  # self entry never competes
         moves[i] = less + 1
@@ -161,8 +148,7 @@ def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
 def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
     """Log-binned rank histogram of the observed order against the null
     ensemble's orders, with per-bin observed/null ratios and 95% bands.
-    Every order's ranks are its `consecutive_ranks`, from one sort per
-    matrix row."""
+    Every move's rank comes from one sort per matrix row."""
     m = np.asarray(matrix, dtype=np.float64)
     d = m.shape[0]
     if d < 2:

@@ -158,20 +158,26 @@ class TestWorkPerK:
             (paths, "divergence_matrix"),
             (surprise, "t2t_series"),
             (surprise, "t2p_series"),
-            (epochs, "_segment_evidence_table"),
-            (epochs, "_segment_score_table"),
         ):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        suffix_dp = epochs._suffix_dp
+
+        def counted_pass(score, *args):
+            counts[score.func.__name__] += 1  # the segment score kind
+            return suffix_dp(score, *args)
+
+        monkeypatch.setattr(epochs, "_suffix_dp", counted_pass)
         assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
-        # per k: one ensemble, one matrix, one series of each kind, and
-        # one evidence and one score table for each of the two series
+        # one ensemble per run; per k one matrix and one series of each
+        # kind; per series one max, one evidence and one placement-count pass
         assert counts == {
-            "permutations": 2 * DEMO_SAMPLES,
+            "permutations": DEMO_SAMPLES,
             "divergence_matrix": 2,
             "t2t_series": 2,
             "t2p_series": 2,
-            "_segment_evidence_table": 4,
-            "_segment_score_table": 4,
+            "_loglik_scores": 4,
+            "_evidence_scores": 4,
+            "_feasible_scores": 4,
         }
 
     @pytest.mark.parametrize("command", ["null", "ranks"])

@@ -1,20 +1,27 @@
 import itertools
 import math
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from readpath.epochs import (
+    _BLOCK,
     EpochSearchConfig,
+    _infeasible,
+    _min_length_by_start,
     break_to_date,
     evidence_prior,
     fit,
     log_evidence,
     segment_loglik,
     select_n,
+    select_n_with_landscape,
     single_break_landscape,
 )
 from readpath.errors import InputError
@@ -283,3 +290,211 @@ class TestLandscape:
         b_star = int(np.nanargmax(land))
         assert b_star == fit(x, 2, cfg).breaks[1]
         assert land[b_star] == pytest.approx(segment_loglik(x, [0, b_star]), abs=1e-9)
+
+
+# The whole-table segment builders and dynamic programs that the blocked
+# `_suffix_dp` replaced, kept verbatim as the bitwise oracle. Each builds
+# (L+1)^2 float64 tables.
+
+
+def _segment_score_table(x: np.ndarray, min_len: np.ndarray, variance_floor: float) -> np.ndarray:
+    """(L+1) x (L+1) table: entry [a, b] is the segment [a, b) loglik, or
+    -inf where the segment is infeasible. Series is centered first so the
+    prefix-sum variance stays numerically tame."""
+    length = len(x)
+    c = x - x.mean()
+    cs = np.concatenate([[0.0], np.cumsum(c)])
+    css = np.concatenate([[0.0], np.cumsum(c * c)])
+    a = np.arange(length + 1)
+    m = a[None, :] - a[:, None]
+    s = cs[None, :] - cs[:, None]
+    ss = css[None, :] - css[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = s / m
+        var = np.maximum(ss / m - mu * mu, variance_floor)
+        table = -(m / 2.0) * (1.0 + np.log(2.0 * np.pi * var))
+    table[m < min_len[:, None]] = -np.inf
+    return table
+
+
+def _best_suffix_scores(table: np.ndarray, n_max: int) -> np.ndarray:
+    """Row j, entry a: the top total score splitting the suffix [a, L)
+    into j feasible segments (-inf where none exists), for j = 0..n_max."""
+    length = table.shape[0] - 1
+    best = np.full((n_max + 1, length + 1), -np.inf)
+    best[0, length] = 0.0
+    for j in range(1, n_max + 1):
+        best[j] = np.max(table + best[j - 1][None, :], axis=1)
+    return best
+
+
+def _ml_breaks(table: np.ndarray, best: np.ndarray, n: int) -> list[int]:
+    """Forward reconstruction of the n-segment maximum, which makes ties
+    resolve to the lexicographically smallest break vector."""
+    if not np.isfinite(best[n, 0]):
+        raise _infeasible(table.shape[0] - 1, n)
+    breaks = [0]
+    a = 0
+    for j in range(n, 1, -1):
+        cand = table[a] + best[j - 1]
+        b = int(np.nonzero(cand == best[j, a])[0][0])
+        breaks.append(b)
+        a = b
+    return breaks
+
+
+def _landscape(table: np.ndarray) -> np.ndarray:
+    length = table.shape[0] - 1
+    out = np.full(length + 1, np.nan)
+    v = table[0, 1:length] + table[1:length, length]
+    out[1:length] = np.where(np.isfinite(v), v, np.nan)
+    return out
+
+
+def _segment_evidence_table(x: np.ndarray, min_len: np.ndarray, prior: dict) -> np.ndarray:
+    """(L+1) x (L+1) table: entry [a, b] is the log marginal likelihood of
+    segment [a, b) under the prior, or -inf where the segment is
+    infeasible. Deviations are taken from m0, so prefix sums stay tame."""
+    length = len(x)
+    c = x - prior["m0"]
+    cs = np.concatenate([[0.0], np.cumsum(c)])
+    css = np.concatenate([[0.0], np.cumsum(c * c)])
+    a = np.arange(length + 1)
+    m = a[None, :] - a[:, None]
+    s = cs[None, :] - cs[:, None]
+    ss = css[None, :] - css[:, None]
+    k0, a0, b0 = prior["kappa0"], prior["a0"], prior["b0"]
+    # Terms that depend on the segment length only, indexed by it.
+    lengths = a.astype(np.float64)
+    by_length = (
+        gammaln(a0 + lengths / 2.0) - gammaln(a0) + a0 * math.log(b0)
+        + 0.5 * (math.log(k0) - np.log(k0 + lengths)) - (lengths / 2.0) * math.log(2.0 * math.pi)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_dev = s / m  # segment mean minus m0
+        scatter = np.maximum(ss - s * mean_dev, 0.0)
+        bn = b0 + scatter / 2.0 + k0 * m * mean_dev * mean_dev / (2.0 * (k0 + m))
+        table = by_length[np.maximum(m, 0)] - (a0 + m / 2.0) * np.log(bn)
+    table[m < min_len[:, None]] = -np.inf
+    return table
+
+
+def _log_path_sums(table: np.ndarray, n_max: int) -> np.ndarray:
+    """Entry n - 1 is the log of the sum, over every split of [0, L) into
+    n feasible segments, of exp(total segment score): the suffix dynamic
+    program of `fit` with logsumexp in place of max."""
+    length = table.shape[0] - 1
+    acc = np.full(length + 1, -np.inf)
+    acc[length] = 0.0
+    out = []
+    for _ in range(n_max):
+        terms = table + acc[None, :]
+        top = terms.max(axis=1)
+        finite = np.isfinite(top)
+        acc = np.full(length + 1, -np.inf)
+        with np.errstate(invalid="ignore"):
+            acc[finite] = top[finite] + np.log(
+                np.exp(terms[finite] - top[finite, None]).sum(axis=1)
+            )
+        out.append(acc[0])
+    return np.array(out)
+
+
+def table_log_evidence(x, config, dates):
+    """`log_evidence` from one evidence table, as before the blocked pass."""
+    min_len = _min_length_by_start(len(x), config, dates)
+    table = _segment_evidence_table(x, min_len, evidence_prior(x, config))
+    log_count = _log_path_sums(np.where(np.isfinite(table), 0.0, -np.inf), config.n_max)
+    log_total = _log_path_sums(table, config.n_max)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
+
+
+def table_breaks_and_landscape(x, config, dates):
+    """Per n, the ML breaks or the infeasibility message, and the landscape,
+    from one score table."""
+    table = _segment_score_table(x, _min_length_by_start(len(x), config, dates), config.variance_floor)
+    best = _best_suffix_scores(table, config.n_max)
+    per_n = []
+    for n in range(1, config.n_max + 1):
+        try:
+            per_n.append(_ml_breaks(table, best, n))
+        except InputError as err:
+            per_n.append(str(err))
+    return per_n, _landscape(table)
+
+
+BLOCK_EDGE_LENGTHS = [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+@st.composite
+def epoch_problems(draw):
+    """A series with its config and dates: lengths at the block edges,
+    index or calendar minimums (some infeasible for the larger n), and
+    values with planted shifts or many exact ties."""
+    length = draw(st.sampled_from(BLOCK_EDGE_LENGTHS))
+    n_max = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["noise", "shift", "ties"]))
+    if shape == "ties":
+        x = rng.integers(0, 3, length).astype(np.float64)
+    else:
+        x = rng.normal(0, 1, length)
+        if shape == "shift":
+            x[rng.integers(0, length):] += 3.0
+    if draw(st.booleans()):
+        min_length = draw(st.integers(2, max(2, length // 2 + 1)))
+        return x, EpochSearchConfig(n_max=n_max, min_length=min_length, min_years=None), None
+    days = np.cumsum(rng.integers(0, 40, length))
+    dates = [date(1830, 1, 1) + timedelta(days=int(d)) for d in days]
+    span_years = max(int(days[-1]), 1) / 365.25
+    min_years = span_years * draw(st.floats(0.01, 0.6))
+    return x, EpochSearchConfig(n_max=n_max, min_years=min_years), dates
+
+
+class TestBlockedDP:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=epoch_problems())
+    @example(problem=(np.random.default_rng(0).normal(0, 1, 2 * _BLOCK + 1), IDX(n_max=3, min_length=5), None))
+    @example(problem=(np.random.default_rng(1).normal(0, 1, _BLOCK - 1), IDX(n_max=4, min_length=3), None))
+    @example(problem=(np.random.default_rng(2).normal(0, 1, _BLOCK + 1), IDX(n_max=4, min_length=60), None))
+    def test_bit_equal_to_whole_table_oracle(self, problem):
+        x, cfg, dates = problem
+        expected_ev = table_log_evidence(x, cfg, dates)
+        expected_breaks, expected_land = table_breaks_and_landscape(x, cfg, dates)
+        assert log_evidence(x, cfg, dates).tobytes() == expected_ev.tobytes()
+        assert single_break_landscape(x, cfg, dates).tobytes() == expected_land.tobytes()
+        for n, expected in enumerate(expected_breaks, start=1):
+            if isinstance(expected, str):
+                assert expected_ev[n - 1] == -np.inf
+                with pytest.raises(InputError) as err:
+                    fit(x, n, cfg, dates)
+                assert str(err.value) == expected
+            else:
+                m = fit(x, n, cfg, dates)
+                assert list(m.breaks) == expected
+                assert m.log_likelihood == segment_loglik(x, expected)
+        infeasible = [e for e in expected_breaks if isinstance(e, str)]
+        if infeasible:
+            with pytest.raises(InputError) as err:
+                select_n_with_landscape(x, cfg, dates)
+            assert str(err.value) == infeasible[0]
+            return
+        best, rows, land = select_n_with_landscape(x, cfg, dates)
+        assert land.tobytes() == expected_land.tobytes()
+        assert [r["breaks"] for r in rows] == expected_breaks
+        assert np.array([r["log_evidence"] for r in rows]).tobytes() == expected_ev.tobytes()
+        assert best.n == int(np.argmax(expected_ev)) + 1
+
+    def test_no_whole_table_allocated(self):
+        # One (L+1)^2 float64 table at L = 2,000 is 32 MB; the whole-table
+        # code peaked at 275 MB here.
+        length = 2000
+        x = np.random.default_rng(3).normal(0, 1, length)
+        tracemalloc.start()
+        try:
+            select_n_with_landscape(x, IDX(n_max=3, min_length=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (length + 1) ** 2 * 8

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readpath.paths import (
+    _check_permutation,
     _move_ranks,
-    consecutive_ranks,
     divergence_matrix,
     greedy_t2p_path,
     greedy_t2t_path,
@@ -14,6 +14,22 @@ from readpath.paths import (
 from readpath.surprise import kl_divergence, t2p_series
 
 from conftest import random_simplex
+
+
+def consecutive_ranks(matrix: np.ndarray, order) -> np.ndarray:
+    """Plain reference for the ranks inside `rank_distribution`: rank of
+    each consecutive move's divergence within its row (1 = nearest
+    neighbor), excluding the self entry; equal divergences share the
+    minimum (competition) rank."""
+    m = np.asarray(matrix, dtype=np.float64)
+    d = m.shape[0]
+    o = _check_permutation(order, d)
+    cur, nxt = o[:-1], o[1:]
+    rows = m[cur]
+    chosen = m[cur, nxt]
+    less = (rows < chosen[:, None]).sum(axis=1)
+    less -= (m[cur, cur] < chosen).astype(np.int64)  # self entry never competes
+    return (less + 1).astype(np.int64)
 
 
 def random_matrix_strategy(d=6):
@@ -160,6 +176,9 @@ class TestRanks:
 
     def test_non_permutation_rejected(self, rng):
         m = _random_matrix(rng, 4)
+        null_orders = np.array([rng.permutation(4) for _ in range(3)])
+        with pytest.raises(ValueError, match="permutation"):
+            rank_distribution(m, [0, 1, 1, 3], null_orders)
         with pytest.raises(ValueError):
             consecutive_ranks(m, [0, 1, 1, 3])
 
