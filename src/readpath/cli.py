@@ -94,12 +94,24 @@ def _load_corpus(cfg: RunConfig):
     return corpus_mod.load_cache(_require(_corpus_path(cfg), "corpus cache", "ingest"))
 
 
-def _load_model(cfg: RunConfig, k: int, records) -> topics_mod.TopicModel:
+def _load_stage_corpus(cfg: RunConfig):
+    """The cached records and the corpus fingerprint that every model a
+    stage loads must carry."""
+    records, vocab, matrix = _load_corpus(cfg)
+    return records, corpus_mod.corpus_fingerprint(vocab, matrix)
+
+
+def _load_model(cfg: RunConfig, k: int, records, fingerprint: str) -> topics_mod.TopicModel:
     path = _require(_kdir(cfg, k) / "model.bin", "topic model", "train")
     model = topics_mod.load_model(path)
     if model.theta.shape[0] != len(records):
         raise InputError(
             f"stale topic model {path}: {model.theta.shape[0]} documents, corpus has {len(records)}"
+        )
+    if model.corpus_fingerprint != fingerprint:
+        raise InputError(
+            f"stale topic model {path}: trained on another corpus than {_corpus_path(cfg)}"
+            " (re-run `readpath train`)"
         )
     return model
 
@@ -178,9 +190,9 @@ def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.Surpris
 
 
 def cmd_surprise(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     for k in cfg.k_list:
-        _step_surprise(_kdir(cfg, k), _load_model(cfg, k, records), records)
+        _step_surprise(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), records)
 
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
@@ -195,10 +207,10 @@ def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.N
 
 
 def cmd_null(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
-        _step_null(_kdir(cfg, k), _load_model(cfg, k, records), perms, cfg)
+        _step_null(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), perms, cfg)
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -219,9 +231,9 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
 
 
 def cmd_puborder(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     for k in cfg.k_list:
-        _step_puborder(_kdir(cfg, k), _load_model(cfg, k, records), records, cfg)
+        _step_puborder(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), records, cfg)
 
 
 def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
@@ -236,9 +248,9 @@ def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str
 
 
 def cmd_greedy(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     for k in cfg.k_list:
-        model = _load_model(cfg, k, records)
+        model = _load_model(cfg, k, records, fingerprint)
         _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
@@ -250,10 +262,10 @@ def _step_ranks(kdir: Path, matrix, perms) -> paths_mod.RankDistribution:
 
 
 def cmd_ranks(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
-        matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records).theta)
+        matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records, fingerprint).theta)
         _step_ranks(_kdir(cfg, k), matrix, perms)
 
 
@@ -314,11 +326,10 @@ def _step_epochs(
 
 
 def cmd_epochs(cfg: RunConfig) -> None:
-    records, _, _ = _load_corpus(cfg)
+    records, fingerprint = _load_stage_corpus(cfg)
     for k in cfg.k_list:
-        _step_epochs(
-            _kdir(cfg, k), _reading_series(_load_model(cfg, k, records)), records, cfg, nulls=None
-        )
+        model = _load_model(cfg, k, records, fingerprint)
+        _step_epochs(_kdir(cfg, k), _reading_series(model), records, cfg, nulls=None)
 
 
 def _declared_exports(cfg: RunConfig) -> list[str]:
@@ -420,19 +431,19 @@ def cmd_run(cfg: RunConfig) -> None:
     )
 
 
-def cmd_report(bundle: Path) -> None:
-    bundle = Path(bundle)
-    manifest_path = bundle / "manifest.json"
-    if not manifest_path.exists():
-        raise InputError(f"not a result bundle (no manifest.json): {bundle}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for name in manifest["files"]:
-        if not (bundle / name).exists():
-            raise InputError(f"bundle is missing a declared artifact: {name}")
-    summary = json.loads((bundle / "summary.json").read_text(encoding="utf-8"))
+def _load_bundle_json(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"malformed bundle file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"malformed bundle file {path}: not a JSON object")
+    return payload
 
+
+def _report_lines(summary: dict) -> list[str]:
     sur = summary["surprise"]
-    print(f"bits per step (k={summary['k']}, {summary['documents']} documents)")
+    lines = [f"bits per step (k={summary['k']}, {summary['documents']} documents)"]
     rows = [
         ("reading order", "observed_bits_per_step", "{:.4f}"),
         ("null mean", "null_mean_bits_per_step", "{:.4f}"),
@@ -443,30 +454,51 @@ def cmd_report(bundle: Path) -> None:
         ("greedy shortest path", "greedy_bits_per_step", "{:.4f}"),
         ("publication order", "publication_order_bits_per_step", "{:.4f}"),
     ]
-    print(f"  {'measure':<24}{'T2T':>12}{'T2P':>12}")
+    lines.append(f"  {'measure':<24}{'T2T':>12}{'T2P':>12}")
     for label, key, fmt in rows:
         t2t = fmt.format(sur["T2T"][key])
         t2p = fmt.format(sur["T2P"][key])
-        print(f"  {label:<24}{t2t:>12}{t2p:>12}")
+        lines.append(f"  {label:<24}{t2t:>12}{t2p:>12}")
 
     for kind in surprise_mod.SERIES_VALUES:
         ep = summary["epochs"][kind]
-        print(f"\nepochs from {kind} surprise: n={ep['selected_n']} selected by Bayesian evidence")
+        lines.append(f"\nepochs from {kind} surprise: n={ep['selected_n']} selected by Bayesian evidence")
         bounds = ep["breaks"] + [summary["documents"] - 1]
         for i, b in enumerate(ep["breaks"]):
             rel = ep["segment_relative_means"]
             rel_s = f"  relative {rel[i]:+.4f}" if rel is not None else ""
-            print(
+            lines.append(
                 f"  epoch {i + 1}: positions [{b}, {bounds[i + 1]}) from {ep['break_dates'][i]}"
                 f"  mean {ep['segment_means'][i]:.4f}  var {ep['segment_variances'][i]:.4f}{rel_s}"
             )
-        print("  n  params      loglik         AIC    log evidence  rel.evidence")
+        lines.append("  n  params      loglik         AIC    log evidence  rel.evidence")
         for row in ep["model_table"]:
-            print(
+            lines.append(
                 f"  {row['n']}  {row['n_params']:>6}  {row['log_likelihood']:>10.3f}"
                 f"  {row['aic']:>10.3f}  {row['log_evidence']:>12.3f}"
                 f"  {row['relative_likelihood']:>12.6g}"
             )
+    return lines
+
+
+def cmd_report(bundle: Path) -> None:
+    bundle = Path(bundle)
+    manifest_path = bundle / "manifest.json"
+    if not manifest_path.exists():
+        raise InputError(f"not a result bundle (no manifest.json): {bundle}")
+    files = _load_bundle_json(manifest_path).get("files")
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise InputError(f"malformed bundle file {manifest_path}: no list of file names")
+    for name in files:
+        if not (bundle / name).exists():
+            raise InputError(f"bundle is missing a declared artifact: {name}")
+    summary_path = bundle / "summary.json"
+    summary = _load_bundle_json(summary_path)
+    try:
+        lines = _report_lines(summary)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed bundle file {summary_path}: bad or missing entry {exc}") from exc
+    print("\n".join(lines))
 
 
 # --------------------------------------------------------------------------

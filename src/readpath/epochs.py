@@ -53,7 +53,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InputError
 from .surprise import _series_values, check_breaks
@@ -170,20 +169,18 @@ def _loglik_scores(cs, css, min_len: np.ndarray, variance_floor: float, a, b) ->
     return score
 
 
-def _evidence_scores(cs, css, min_len: np.ndarray, prior: dict, a, b) -> np.ndarray:
+def _evidence_scores(
+    cs, css, min_len: np.ndarray, prior: dict, by_length: np.ndarray, a, b
+) -> np.ndarray:
     """Log marginal likelihood of segments [a, b) under the prior, over
     broadcast index arrays, or -inf where a segment is shorter than the
-    minimum of its start. The prefix sums are deviations from m0."""
+    minimum of its start. The prefix sums are deviations from m0, and
+    ``by_length`` holds the terms that depend on the segment length only
+    (`_evidence_scorer`)."""
     m = b - a
     s = cs[b] - cs[a]
     ss = css[b] - css[a]
     k0, a0, b0 = prior["kappa0"], prior["a0"], prior["b0"]
-    # Terms that depend on the segment length only, indexed by it.
-    lengths = np.arange(len(cs), dtype=np.float64)
-    by_length = (
-        gammaln(a0 + lengths / 2.0) - gammaln(a0) + a0 * math.log(b0)
-        + 0.5 * (math.log(k0) - np.log(k0 + lengths)) - (lengths / 2.0) * math.log(2.0 * math.pi)
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_dev = s / m  # segment mean minus m0
         scatter = np.maximum(ss - s * mean_dev, 0.0)
@@ -191,6 +188,22 @@ def _evidence_scores(cs, css, min_len: np.ndarray, prior: dict, a, b) -> np.ndar
         score = by_length[np.maximum(m, 0)] - (a0 + m / 2.0) * np.log(bn)
     score[m < min_len[a]] = -np.inf
     return score
+
+
+def _evidence_scorer(x: np.ndarray, min_len: np.ndarray, prior: dict) -> partial:
+    """`_evidence_scores` bound to the prefix sums, minimums and per-length
+    terms of series x, the last built once for every segment length."""
+    # Loaded here, not at module import: scipy.special costs about 0.3 s to
+    # import, and most pipeline stages never score evidence.
+    from scipy.special import gammaln
+
+    k0, a0, b0 = prior["kappa0"], prior["a0"], prior["b0"]
+    lengths = np.arange(len(x) + 1, dtype=np.float64)
+    by_length = (
+        gammaln(a0 + lengths / 2.0) - gammaln(a0) + a0 * math.log(b0)
+        + 0.5 * (math.log(k0) - np.log(k0 + lengths)) - (lengths / 2.0) * math.log(2.0 * math.pi)
+    )
+    return partial(_evidence_scores, *_prefix_sums(x), min_len, prior, by_length)
 
 
 def _feasible_scores(min_len: np.ndarray, a, b) -> np.ndarray:
@@ -313,7 +326,7 @@ def log_evidence(
         raise ValueError("empty series")
     length, n_max = len(x), config.n_max
     min_len = _min_length_by_start(length, config, dates)
-    evidence = partial(_evidence_scores, *_prefix_sums(x), min_len, evidence_prior(x, config))
+    evidence = _evidence_scorer(x, min_len, evidence_prior(x, config))
     log_total = _suffix_dp(evidence, length, n_max, _row_logsumexp)[1:, 0]
     log_count = _suffix_dp(partial(_feasible_scores, min_len), length, n_max, _row_logsumexp)[1:, 0]
     with np.errstate(invalid="ignore"):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .surprise import _check_distributions
 
@@ -196,6 +195,10 @@ def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
 def _beta_bound(count: int, n: int, q: float) -> float:
     """Clopper-Pearson binomial proportion bound: the q-quantile of a Beta
     distribution, through the inverse regularized incomplete beta function."""
+    # Loaded here, not at module import: scipy.special costs about 0.3 s to
+    # import, and only the ranks stage needs it.
+    from scipy.special import betaincinv
+
     if q < 0.5:
         return 0.0 if count == 0 else float(betaincinv(count, n - count + 1, q))
     return 1.0 if count == n else float(betaincinv(count + 1, n - count, q))

@@ -236,6 +236,18 @@ class TestArtifactChecks:
         err = capsys.readouterr().err
         assert "model.bin" in err and "12 documents" in err and "11" in err
 
+    @pytest.mark.parametrize("command", ["surprise", "null", "puborder", "greedy", "ranks", "epochs"])
+    def test_model_of_refiltered_corpus_exit_1(self, tmp_path, capsys, command):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        # same documents, fewer words: only the corpus fingerprint tells
+        assert main(["ingest", "--config", str(cfg), "--corpus.min_count", "40"]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "model.bin" in err and "readpath train" in err
+
     def test_null_csv_row_without_mean_exit_1_names_file(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
         for cmd in ("ingest", "train", "null"):
@@ -294,6 +306,41 @@ class TestArtifactChecks:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _fresh_interpreter(code: str, *args: str) -> int:
+    """Exit code of ``code`` run in a new interpreter that imports readpath
+    from the tested sources."""
+    src = str(Path(readpath.__file__).resolve().parents[1])
+    entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env).returncode
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        code = f"import sys, readpath, readpath.cli; loaded = {LOADED_SCIPY}; sys.exit(str(loaded) if loaded else 0)"
+        assert _fresh_interpreter(code) == 0
+
+    def test_only_ranks_and_epochs_load_scipy(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        code = "\n".join(
+            [
+                "import sys",
+                "from readpath.cli import main",
+                "flags = ['--config', sys.argv[1]]",
+                "for cmd in ('ingest', 'train', 'surprise', 'null', 'puborder', 'greedy'):",
+                "    assert main([cmd, *flags]) == 0, cmd",
+                f"loaded = {LOADED_SCIPY}",
+                "assert not loaded, loaded",
+                "for cmd in ('ranks', 'epochs'):",
+                "    assert main([cmd, *flags]) == 0, cmd",
+            ]
+        )
+        assert _fresh_interpreter(code, str(cfg)) == 0
+
+
 class TestReport:
     def test_report_consistent_with_summary(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
@@ -309,6 +356,24 @@ class TestReport:
     def test_report_missing_bundle(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 1
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["summary_truncated", "summary_epochs_missing", "manifest_truncated"])
+    def test_report_malformed_bundle_file_exit_1_names_file(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        kdir = tmp_path / "out" / "k2"
+        name = "manifest.json" if edit == "manifest_truncated" else "summary.json"
+        target = kdir / name
+        if edit == "summary_epochs_missing":
+            summary = json.loads(target.read_text(encoding="utf-8"))
+            del summary["epochs"]
+            target.write_text(json.dumps(summary), encoding="utf-8")
+        else:
+            target.write_bytes(target.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["report", str(kdir)]) == 1
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
 
     def test_report_names_missing_artifact(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
