@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Time the Gibbs sweep on an ingested corpus or a synthetic Zipf corpus.
+
+Trains the models of a k sweep with ``readpath.topics.sweep_k`` (the call
+``train`` and ``run`` make) and prints one JSON line: the wall seconds of
+each repeat, ns per (token, topic) update as perfbench counts it (sweep_k
+seconds over tokens x sum(k) x sweeps), the share of tokens whose
+(document, word) pair equals the previous token's, the peak RSS, and a
+SHA-256 over every model's theta and phi bytes, so two source trees can be
+compared for speed and for identical results.
+
+Usage:
+    PYTHONPATH=src python scripts/bench_sweep.py --corpus out/corpus.json --k-list 80 --sweeps 40
+    PYTHONPATH=src python scripts/bench_sweep.py --zipf 75,40000,30000 --k-list 80 --sweeps 100
+
+``--zipf D,N,V`` draws D documents of N tokens each from a Zipf(1) law over
+V words, in memory. ``--last-sweep-stats`` also replays each chain sweep by
+sweep and reports, among repeated tokens of the last sweep, the share whose
+previous token drew the topic this token gives back (every term reused).
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from readpath import topics
+from readpath.corpus import CorpusMatrix, load_cache
+
+
+def zipf_corpus(n_docs: int, doc_tokens: int, n_vocab: int, seed: int) -> CorpusMatrix:
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, n_vocab + 1)
+    p /= p.sum()
+    indptr, indices, counts = [0], [], []
+    for _ in range(n_docs):
+        c = rng.multinomial(doc_tokens, p)
+        nz = np.flatnonzero(c)
+        indices.append(nz)
+        counts.append(c[nz])
+        indptr.append(indptr[-1] + nz.size)
+    return CorpusMatrix(np.array(indptr), np.concatenate(indices), np.concatenate(counts), n_vocab)
+
+
+def repeat_fraction(corpus: CorpusMatrix) -> float:
+    doc_of, word_of = corpus.token_streams()
+    same = (doc_of[1:] == doc_of[:-1]) & (word_of[1:] == word_of[:-1])
+    return float(same.sum() / doc_of.size)
+
+
+def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> float:
+    """Replays ``train``'s chain and returns, among repeated tokens of the
+    last sweep, the share whose previous token drew the topic it gives back."""
+    doc_of, word_of = corpus.token_streams()
+    k, alpha = params.k, params.resolved_alpha
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    z = rng.integers(0, k, doc_of.size, dtype=np.int64)
+    n_dk = np.zeros((corpus.n_docs, k), dtype=np.int64)
+    n_kv = np.zeros((corpus.n_vocab, k), dtype=np.int64)
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kv, (word_of, z), 1)
+    n_k = np.bincount(z, minlength=k).astype(np.int64)
+    cum, term = np.empty(k), np.empty(k)
+    for _ in range(params.iterations):
+        before = z.copy()
+        topics._run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, params.beta,
+                          rng.random(doc_of.size), cum, term)
+    repeat = (doc_of[1:] == doc_of[:-1]) & (word_of[1:] == word_of[:-1])
+    return float((z[:-1] == before[1:])[repeat].mean())
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    src = ap.add_mutually_exclusive_group(required=True)
+    src.add_argument("--corpus", help="corpus.json written by `readpath ingest`")
+    src.add_argument("--zipf", help="D,N,V: D documents of N tokens over V words")
+    ap.add_argument("--k-list", default="80")
+    ap.add_argument("--sweeps", type=int, default=40)
+    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--repeats", type=int, default=1)
+    ap.add_argument("--last-sweep-stats", action="store_true")
+    args = ap.parse_args()
+
+    if args.corpus:
+        corpus = load_cache(args.corpus)[2]
+    else:
+        n_docs, doc_tokens, n_vocab = (int(x) for x in args.zipf.split(","))
+        corpus = zipf_corpus(n_docs, doc_tokens, n_vocab, args.seed)
+    k_list = [int(k) for k in args.k_list.split(",")]
+    params = topics.TopicModelParams(k=k_list[0], iterations=args.sweeps, seed=args.seed)
+    topics.sweep_kernel()  # build and load the kernel before timing
+
+    seconds, digest = [], None
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        models = topics.sweep_k(corpus, k_list, params, threads=args.threads)
+        seconds.append(time.perf_counter() - t0)
+        h = hashlib.sha256()
+        for m in models:
+            h.update(m.theta.tobytes())
+            h.update(m.phi.tobytes())
+        digest = h.hexdigest()
+    updates = corpus.total_tokens * sum(k_list) * args.sweeps
+    out = {
+        "tokens": corpus.total_tokens,
+        "docs": corpus.n_docs,
+        "vocab": corpus.n_vocab,
+        "k_list": k_list,
+        "sweeps": args.sweeps,
+        "threads": args.threads,
+        "kernel": topics.sweep_kernel(),
+        "seconds": [round(s, 4) for s in seconds],
+        "ns_per_token_topic": round(1e9 * statistics.median(seconds) / updates, 4),
+        "repeat_fraction": round(repeat_fraction(corpus), 4),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "models_sha256": digest,
+    }
+    if args.last_sweep_stats:
+        out["last_sweep_prev_eq_old"] = {
+            k: round(last_sweep_reuse(corpus, dataclasses.replace(params, k=k, seed=args.seed + i)), 4)
+            for i, k in enumerate(k_list)
+        }
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,38 +1,77 @@
 /* One collapsed-Gibbs sweep over every token, in token order.
  *
- * Same arithmetic, in the same order, as the pure-Python _gibbs_sweep in
- * topics.py: build with -ffp-contract=off so no multiply-add is fused and
- * the two paths agree bit for bit. Count arrays are row-major int64:
- * n_dk is D x k, n_kv is k x V.
+ * Same draws, bit for bit, as the pure-Python _gibbs_sweep in topics.py,
+ * which recomputes every term and scans linearly: build with
+ * -ffp-contract=off so no multiply-add is fused. Count arrays are
+ * row-major int64: n_dk is D x k, n_kv is V x k (word-major, so the k
+ * counts of one word are contiguous).
+ *
+ * Reuse. Token t is a repeat when t > 0 and it has the same (document,
+ * word) pair as token t-1. The counts it sees then differ from those token
+ * t-1 saw only at prev = z[t-1], the topic t-1 drew (one more), and old,
+ * the topic t gives back (one less). Every other term[j] still holds, and
+ * so does cum[j] below min(prev, old). If prev == old nothing is recomputed;
+ * otherwise term[prev] and term[old] are, and the running sum is redone
+ * from lo = min(prev, old), starting at cum[lo - 1] (0.0 when lo == 0).
+ * Each kept term came from the same integers through the same operations,
+ * and the kept prefix is the same fold, so every cum[j] has the bits of a
+ * full recomputation. Token 0 of each call is never a repeat.
+ *
+ * Search. Every term is > 0, so cum never falls: the first j < k-1 with
+ * cum[j] >= r, found by binary search, is the topic the linear scan finds,
+ * and k-1 when there is none (u < 1 keeps r <= cum[k-1]).
  */
 #include <stdint.h>
 
 void gibbs_sweep(int64_t n_tokens, int64_t k, int64_t v,
                  const int64_t *doc_of, const int64_t *word_of, int64_t *z,
                  int64_t *n_dk, int64_t *n_kv, int64_t *n_k,
-                 double alpha, double beta, const double *u, double *cum)
+                 double alpha, double beta, const double *u, double *cum,
+                 double *term)
 {
     const double vbeta = (double)v * beta;
     for (int64_t t = 0; t < n_tokens; t++) {
         int64_t *dk = n_dk + doc_of[t] * k;
-        const int64_t w = word_of[t];
+        int64_t *kv = n_kv + word_of[t] * k;
         const int64_t old = z[t];
         dk[old]--;
-        n_kv[old * v + w]--;
+        kv[old]--;
         n_k[old]--;
-        double total = 0.0;
-        for (int64_t j = 0; j < k; j++) {
-            total += ((double)dk[j] + alpha) * ((double)n_kv[j * v + w] + beta)
-                     / ((double)n_k[j] + vbeta);
-            cum[j] = total;
+#define TERM(j) (((double)dk[j] + alpha) * ((double)kv[j] + beta) / ((double)n_k[j] + vbeta))
+        if (t > 0 && doc_of[t] == doc_of[t - 1] && word_of[t] == word_of[t - 1]) {
+            const int64_t prev = z[t - 1];
+            if (prev != old) {
+                term[prev] = TERM(prev);
+                term[old] = TERM(old);
+                const int64_t lo = prev < old ? prev : old;
+                double total = lo > 0 ? cum[lo - 1] : 0.0;
+                for (int64_t j = lo; j < k; j++) {
+                    total += term[j];
+                    cum[j] = total;
+                }
+            }
+        } else {
+            double total = 0.0;
+            for (int64_t j = 0; j < k; j++) {
+                const double x = TERM(j);
+                term[j] = x;
+                total += x;
+                cum[j] = total;
+            }
         }
-        const double r = u[t] * total;
-        int64_t new = 0;
-        while (new < k - 1 && cum[new] < r)  /* u < 1 keeps r <= cum[k - 1] */
-            new++;
-        z[t] = new;
-        dk[new]++;
-        n_kv[new * v + w]++;
-        n_k[new]++;
+#undef TERM
+        const double r = u[t] * cum[k - 1];
+        int64_t a = 0, b = k - 1;
+        while (a < b) {
+            const int64_t m = a + (b - a) / 2;
+            if (cum[m] < r)
+                a = m + 1;
+            else
+                b = m;
+        }
+        z[t] = a;
+        dk[a]++;
+        kv[a]++;
+        n_k[a]++;
     }
 }

@@ -441,6 +441,24 @@ def _load_bundle_json(path: Path) -> dict:
     return payload
 
 
+def _check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
+    """Every series and publication-order sidecar of a bundle must name the
+    corpus fingerprint its model was trained on."""
+    model_meta = bundle / "model.meta.json"
+    if not model_meta.exists():
+        raise InputError(f"bundle is missing {model_meta.name}: {bundle}")
+    expected = _load_bundle_json(model_meta).get("corpus_fingerprint")
+    for name in files:
+        if name.startswith(("series_", "puborder_")) and name.endswith(".meta.json"):
+            found = _load_bundle_json(bundle / name).get("model_fingerprint")
+            if found != expected:
+                raise InputError(
+                    f"bundle file {bundle / name}: model_fingerprint {found!r} differs from "
+                    f"corpus_fingerprint {expected!r} in {model_meta.name}; it was computed "
+                    "from another model (re-run `readpath run`)"
+                )
+
+
 def _report_lines(summary: dict) -> list[str]:
     sur = summary["surprise"]
     lines = [f"bits per step (k={summary['k']}, {summary['documents']} documents)"]
@@ -492,6 +510,7 @@ def cmd_report(bundle: Path) -> None:
     for name in files:
         if not (bundle / name).exists():
             raise InputError(f"bundle is missing a declared artifact: {name}")
+    _check_bundle_fingerprints(bundle, files)
     summary_path = bundle / "summary.json"
     summary = _load_bundle_json(summary_path)
     try:

@@ -8,12 +8,16 @@ positive and downstream KL divergences stay finite.
 
 Randomness comes from numpy's PCG64 stream seeded explicitly, and the
 per-sweep update order is fixed, so a (corpus, params) pair always
-produces the same model. The inner sweep is a small C function
-(``_gibbs.c``) compiled with the system C compiler on first use, cached
-per user and called through ctypes, which releases the GIL so chains for
-different k train in parallel. Without a compiler the pure-Python sweep
-runs instead; it performs the identical arithmetic and gives the same
-bytes, only far slower.
+produces the same model. Word-topic counts are stored word-major (V x k).
+The inner sweep is a small C function (``_gibbs.c``) compiled with the
+system C compiler on first use, cached per user and called through
+ctypes, which releases the GIL so chains for different k train in
+parallel. Tokens come grouped by (document, word), and for a token with
+the same pair as the one before, the C sweep recomputes only the two
+terms whose counts moved and binary-searches the running sum. Without a
+compiler the pure-Python sweep runs instead: it recomputes every term and
+scans linearly, with the same arithmetic, so it gives the same bytes, only
+far slower. It is also the test oracle for the C sweep.
 """
 
 from __future__ import annotations
@@ -45,18 +49,18 @@ ROW_SUM_TOL = 1e-9
 
 def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
     n_tokens = z.shape[0]
-    k = n_kv.shape[0]
-    vbeta = n_kv.shape[1] * beta
+    v, k = n_kv.shape
+    vbeta = v * beta
     for t in range(n_tokens):
         d = doc_of[t]
         w = word_of[t]
         old = z[t]
         n_dk[d, old] -= 1
-        n_kv[old, w] -= 1
+        n_kv[w, old] -= 1
         n_k[old] -= 1
         total = 0.0
         for j in range(k):
-            total += (n_dk[d, j] + alpha) * (n_kv[j, w] + beta) / (n_k[j] + vbeta)
+            total += (n_dk[d, j] + alpha) * (n_kv[w, j] + beta) / (n_k[j] + vbeta)
             cum[j] = total
         r = u[t] * total
         new = 0
@@ -64,7 +68,7 @@ def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
             new += 1
         z[t] = new
         n_dk[d, new] += 1
-        n_kv[new, w] += 1
+        n_kv[w, new] += 1
         n_k[new] += 1
 
 
@@ -126,7 +130,7 @@ def _load_kernel():
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.restype = None
-    fn.argtypes = [ctypes.c_int64] * 3 + [i64] * 6 + [ctypes.c_double] * 2 + [f64] * 2
+    fn.argtypes = [ctypes.c_int64] * 3 + [i64] * 6 + [ctypes.c_double] * 2 + [f64] * 3
     return fn
 
 
@@ -135,13 +139,15 @@ def sweep_kernel() -> str:
     return "c" if _load_kernel() is not None else "python"
 
 
-def _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
+def _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term):
+    """One sweep, compiled when possible. ``cum`` and ``term`` are work rows of
+    k doubles; only the compiled sweep uses ``term``."""
     fn = _load_kernel()
     if fn is None:
         _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
     else:
-        k, v = n_kv.shape
-        fn(z.shape[0], k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
+        v, k = n_kv.shape
+        fn(z.shape[0], k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term)
 
 
 @dataclass(frozen=True)
@@ -214,22 +220,23 @@ def train(corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "")
 
     z = rng.integers(0, k, n_tokens, dtype=np.int64)
     n_dk = np.zeros((d, k), dtype=np.int64)
-    n_kv = np.zeros((k, v), dtype=np.int64)
+    n_kv = np.zeros((v, k), dtype=np.int64)  # word-major: one token's counts are contiguous
     np.add.at(n_dk, (doc_of, z), 1)
-    np.add.at(n_kv, (z, word_of), 1)
+    np.add.at(n_kv, (word_of, z), 1)
     n_k = np.bincount(z, minlength=k).astype(np.int64)
     n_doc = np.bincount(doc_of, minlength=d).astype(np.int64)
     cum = np.empty(k, dtype=np.float64)
+    term = np.empty(k, dtype=np.float64)
 
     theta_acc = np.zeros((d, k), dtype=np.float64)
     phi_acc = np.zeros((k, v), dtype=np.float64)
     first_kept = params.iterations - params.average_last
     for sweep in range(params.iterations):
         u = rng.random(n_tokens)
-        _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
+        _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term)
         if sweep >= first_kept:
             theta_acc += (n_dk + alpha) / (n_doc[:, None] + k * alpha)
-            phi_acc += (n_kv + beta) / (n_k[:, None] + v * beta)
+            phi_acc += (n_kv.T + beta) / (n_k[:, None] + v * beta)
 
     theta = theta_acc / params.average_last
     phi = phi_acc / params.average_last
@@ -252,8 +259,10 @@ def sweep_k(
 ) -> list[TopicModel]:
     """Train one independent model per k; model i is seeded base seed + i.
 
-    Models are independent chains, so they may train concurrently; the
-    returned list always follows ``k_list`` order.
+    Models are independent chains, so they may train concurrently. A
+    chain costs about k per token, so the pool starts the largest k first
+    and the short chains fill in behind; the returned list always follows
+    ``k_list`` order.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
@@ -265,7 +274,11 @@ def sweep_k(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: train(corpus, p, fingerprint), all_params))
+            futures = {
+                p: pool.submit(train, corpus, p, fingerprint)
+                for p in sorted(all_params, key=lambda p: p.k, reverse=True)
+            }
+            return [futures[p].result() for p in all_params]
     return [train(corpus, p, fingerprint) for p in all_params]
 
 

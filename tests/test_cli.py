@@ -375,6 +375,19 @@ class TestReport:
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("name", ["series_t2t.meta.json", "puborder_t2p.meta.json"])
+    def test_report_rejects_sidecar_of_another_model(self, tmp_path, capsys, name):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        kdir = tmp_path / "out" / "k2"
+        meta = json.loads((kdir / name).read_text(encoding="utf-8"))
+        meta["model_fingerprint"] = "0" * 64
+        (kdir / name).write_text(json.dumps(meta), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(kdir)]) == 1
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
+
     def test_report_names_missing_artifact(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0

@@ -1,8 +1,11 @@
 import shutil
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from readpath import topics
 from readpath.corpus import CorpusMatrix
@@ -127,6 +130,74 @@ class TestCompiledSweep:
             assert np.array_equal(fast.phi, slow.phi), p
 
 
+_LAST_U = float(np.nextafter(1.0, 0.0))
+
+
+def _sweep_case(k, pairs, z, us):
+    """(k, D, V, doc_of, word_of, z, [u per sweep]) with int64/float64 arrays."""
+    doc_of = np.array([d for d, _ in pairs], dtype=np.int64)
+    word_of = np.array([w for _, w in pairs], dtype=np.int64)
+    return (k, int(doc_of.max()) + 1, int(word_of.max()) + 1, doc_of, word_of,
+            np.array(z, dtype=np.int64), [np.array(u, dtype=np.float64) for u in us])
+
+
+@st.composite
+def sweep_cases(draw):
+    """Token streams made of runs of one (document, word) pair, so repeats
+    are common; runs of length 1 give one-token documents and pairs that
+    change at every token."""
+    k = draw(st.integers(2, 40))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 25)), min_size=1, max_size=10
+    ))
+    pairs = [(d, w) for d, w, n in runs for _ in range(n)]
+    z = draw(st.lists(st.integers(0, k - 1), min_size=len(pairs), max_size=len(pairs)))
+    u_value = st.sampled_from([0.0, 0.5, _LAST_U]) | st.floats(0.0, 1.0, exclude_max=True)
+    us = draw(st.lists(
+        st.lists(u_value, min_size=len(pairs), max_size=len(pairs)), min_size=1, max_size=4
+    ))
+    return _sweep_case(k, pairs, z, us)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) to build the sweep")
+class TestSweepReuse:
+    """The compiled sweep reuses its terms across a run of one (document,
+    word) pair and binary-searches the draw; the pure-Python sweep
+    recomputes every term and scans. Both must leave the same state after
+    every sweep."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweep_cases())
+    # prev == old: token 0 takes topic 0 (u = 0) and token 1 gives back 0.
+    @example(case=_sweep_case(5, [(0, 0)] * 3, [0, 0, 0], [[0.0] * 3] * 2))
+    # lo == 0: token 0 takes topic 0, token 1 gives back topic 4.
+    @example(case=_sweep_case(5, [(0, 0)] * 3, [4, 4, 4], [[0.0, 0.3, 0.6]] * 2))
+    # prev == old == k-1, the only way min(prev, old) reaches k-1.
+    @example(case=_sweep_case(5, [(0, 0)] * 3, [4, 4, 4], [[_LAST_U] * 3] * 2))
+    # lo == k-2: token 0 takes k-1, token 1 gives back k-2; only the last
+    # two sums are redone.
+    @example(case=_sweep_case(5, [(0, 0)] * 3, [0, 3, 3], [[_LAST_U, 0.5, 0.5]] * 2))
+    # A tie: both terms equal, so r = 0.5 * 2x = cum[0] and the draw is 0.
+    @example(case=_sweep_case(2, [(0, 0)] * 3, [0, 0, 1], [[0.5, 0.5, 0.5]]))
+    def test_same_state_as_python_sweep(self, case):
+        assert sweep_kernel() == "c"
+        k, n_docs, n_vocab, doc_of, word_of, z0, us = case
+        z = z0.copy()
+        n_dk = np.zeros((n_docs, k), dtype=np.int64)
+        n_kv = np.zeros((n_vocab, k), dtype=np.int64)
+        np.add.at(n_dk, (doc_of, z), 1)
+        np.add.at(n_kv, (word_of, z), 1)
+        n_k = np.bincount(z, minlength=k).astype(np.int64)
+        fast = [z, n_dk, n_kv, n_k]
+        slow = [a.copy() for a in fast]
+        alpha, beta = 50.0 / k, 0.01
+        for u in us:
+            topics._run_sweep(doc_of, word_of, *fast, alpha, beta, u, np.empty(k), np.empty(k))
+            topics._gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
+            for a, b in zip(fast, slow):
+                assert np.array_equal(a, b)
+
+
 class TestThetaRow:
     def test_shape_sum_and_copy(self, rng):
         matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
@@ -167,6 +238,29 @@ class TestSweepK:
         threaded = sweep_k(matrix, [2, 3, 4], PARAMS, threads=3)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.theta, b.theta)
+
+    def test_pool_starts_largest_k_first_and_keeps_k_list_order(self, rng, monkeypatch):
+        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
+        serial = sweep_k(matrix, [3, 2, 4], PARAMS)
+        started = []
+        first_two = threading.Barrier(2, timeout=30)
+
+        def recording_train(corpus, params, fingerprint=""):
+            started.append(params.k)
+            if len(started) <= 2:  # neither worker finishes before both have begun
+                first_two.wait()
+            return train(corpus, params, fingerprint)
+
+        monkeypatch.setattr(topics, "train", recording_train)
+        threaded = sweep_k(matrix, [3, 2, 4], PARAMS, threads=2)
+        # The two workers take k=4 and k=3; k=2 waits for a free one.
+        assert sorted(started[:2]) == [3, 4] and started[2] == 2
+        for models in (serial, threaded):
+            assert [m.k for m in models] == [3, 2, 4]
+            assert [m.params.seed for m in models] == [11, 12, 13]
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.theta, b.theta)
+            assert np.array_equal(a.phi, b.phi)
 
     def test_empty_k_list_rejected(self, rng):
         matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
