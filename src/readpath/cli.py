@@ -122,9 +122,12 @@ def _load_null_means(path: Path, positions: int) -> np.ndarray:
     if len(rows) != positions:
         raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
     try:
-        return np.array([float(r[1]) for r in rows])
+        means = np.array([float(r[1]) for r in rows])
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed null ensemble {path}: a row has no numeric mean") from exc
+    if not np.all(np.isfinite(means)):
+        raise InputError(f"malformed null ensemble {path}: a row has a non-finite mean")
+    return means
 
 
 # --------------------------------------------------------------------------

@@ -41,8 +41,9 @@ class VolumeRecord:
     """One volume in the reading sequence.
 
     ``text_path`` is the manifest's cell as written, which the corpus cache
-    stores; ``text_file`` is the resolved file that ingest reads, known
-    only to records loaded from a manifest.
+    stores; ``text_file`` is the file that ingest reads, the cell joined to
+    the manifest's resolved directory, known only to records loaded from a
+    manifest.
     """
 
     id: str
@@ -195,6 +196,11 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
                 raise InputError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields")
             rows.append((lineno, [c.strip() for c in row]))
 
+    # Resolved once: a realpath per row would be half of this function's
+    # time. An absolute cell replaces the base when joined, and the OS walks
+    # a relative one from the real directory, so "../" climbs out of the
+    # directory the manifest really is in, as a per-row resolve() did.
+    base = path.parent.resolve()
     parsed = []
     seen_ids = set()
     for lineno, (rid, title, read_date_s, pub_year_s, text_path_s) in rows:
@@ -213,7 +219,7 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
             raise InputError(
                 f"record {rid!r}: pub_year {pub_year} is after reading year {read_date.year}"
             )
-        text_file = (path.parent / text_path_s).resolve() if not Path(text_path_s).is_absolute() else Path(text_path_s)
+        text_file = base / text_path_s
         if not text_file.exists():
             raise InputError(f"record {rid!r}: text file not found: {text_file}")
         parsed.append((read_date, rid, title, pub_year, text_path_s, text_file))

@@ -32,10 +32,14 @@ finds; the log-likelihood and AIC = 2*(3n - 1) - 2*loglik are kept
 alongside for comparison.
 
 Each dynamic program is one `_suffix_dp` pass, which scores segments
-from prefix sums in blocks of B = _BLOCK start rows: O(L^2) time and
-O(B * L) memory per pass for a series of L positions. A series costs a
-max, an evidence and a placement-count pass; its single-break landscape
-is row 0 plus column L of the scores, O(L).
+from prefix sums in blocks of B = _BLOCK start rows, O(B * L) memory per
+pass for a series of L positions. A block scores only the segment ends
+its starts can reach, and each level sums or maximizes only over the ends
+that the level below can still complete, so a minimum of mu positions
+leaves about (L - mu)^2 / 2 scores per pass and ever fewer terms per
+level: O(L^2) time at most. A series costs a max, an evidence and a
+placement-count pass; its single-break landscape is row 0 plus column L
+of the scores, O(L).
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -212,34 +216,57 @@ def _feasible_scores(min_len: np.ndarray, a, b) -> np.ndarray:
     return np.where(b - a < min_len[a], -np.inf, 0.0)
 
 
-_row_max = partial(np.max, axis=1)
+def _row_max(window: np.ndarray, f0: int, width: int) -> np.ndarray:
+    return window.max(axis=1)
 
 
-def _row_logsumexp(terms: np.ndarray) -> np.ndarray:
-    top = terms.max(axis=1)
+def _row_logsumexp(window: np.ndarray, f0: int, width: int) -> np.ndarray:
+    """Row logsumexp of rows ``width`` wide whose terms are -inf outside
+    the columns ``window`` holds, from f0 on. The exponentials go
+    back into a zero-filled row of the full width before the sum: numpy's
+    pairwise row sum then meets the same array as over the whole row, so
+    the result has the same bits, which a sum over the window alone would
+    not."""
+    top = window.max(axis=1)
     finite = np.isfinite(top)
-    out = np.full(len(terms), -np.inf)
+    out = np.full(len(window), -np.inf)
+    spread = np.zeros((np.count_nonzero(finite), width))
     with np.errstate(invalid="ignore"):
-        out[finite] = top[finite] + np.log(np.exp(terms[finite] - top[finite, None]).sum(axis=1))
+        spread[:, f0:f0 + window.shape[1]] = np.exp(window[finite] - top[finite, None])
+        out[finite] = top[finite] + np.log(spread.sum(axis=1))
     return out
 
 
-def _suffix_dp(score, length: int, n_max: int, reduce) -> np.ndarray:
-    """Row j, entry a: ``reduce`` (row max or row logsumexp) over every
-    split of the suffix [a, L) into j feasible segments of their total
-    ``score``, -inf where none exists, for j = 0..n_max.
+def _suffix_dp(score, min_len: np.ndarray, n_max: int, reduce) -> np.ndarray:
+    """Row j, entry a: ``reduce`` (`_row_max` or `_row_logsumexp`) over
+    every split of the suffix [a, L) into j feasible segments of their
+    total ``score``, -inf where none exists, for j = 0..n_max. ``min_len``
+    is the scorer's `_min_length_by_start`.
 
-    Start row a meets only suffix entries b > a, so the rows are scored in
-    descending blocks of _BLOCK, each scored once and run through every j
-    before the next block: O(L^2) time and O(_BLOCK * L) memory."""
+    Start row a meets only suffix entries b >= a + min_len[a], so the rows
+    go in descending blocks of _BLOCK, each run through every j before the
+    next block, and a block scores only the columns [c0, L] its rows can
+    reach. Level j then reduces over [f0, f1], the first and last finite
+    entries of level j - 1 from c0 on; level 1 reads column L alone. At
+    most O(L^2) time and O(_BLOCK * L) memory, far less under a long
+    minimum or a large j."""
+    length = len(min_len) - 1
     acc = np.full((n_max + 1, length + 1), -np.inf)
     acc[0, length] = 0.0
-    cols = np.arange(length + 1)
     for hi in range(length + 1, 0, -_BLOCK):
         lo = max(hi - _BLOCK, 0)
-        rows = score(np.arange(lo, hi)[:, None], cols)
+        starts = np.arange(lo, hi)
+        c0 = int((starts + min_len[lo:hi]).min())
+        if c0 > length:  # no row of the block can open a segment
+            continue
+        rows = score(starts[:, None], np.arange(c0, length + 1))
         for j in range(1, n_max + 1):
-            acc[j, lo:hi] = reduce(rows + acc[j - 1])
+            reach = np.flatnonzero(np.isfinite(acc[j - 1, c0:]))
+            if len(reach) == 0:  # and none at any larger j either
+                break
+            f0, f1 = c0 + int(reach[0]), c0 + int(reach[-1])
+            window = rows[:, f0 - c0:f1 + 1 - c0] + acc[j - 1, f0:f1 + 1]
+            acc[j, lo:hi] = reduce(window, f0, length + 1)
     return acc
 
 
@@ -280,29 +307,29 @@ def _model(x: np.ndarray, breaks: list[int], variance_floor: float) -> EpochMode
     )
 
 
-def _loglik_scorer(x: np.ndarray, config: EpochSearchConfig, dates) -> partial:
+def _loglik_scorer(x: np.ndarray, min_len: np.ndarray, variance_floor: float) -> partial:
     """`_loglik_scores` bound to the prefix sums and minimums of series x."""
-    min_len = _min_length_by_start(len(x), config, dates)
-    return partial(_loglik_scores, *_prefix_sums(x), min_len, config.variance_floor)
+    return partial(_loglik_scores, *_prefix_sums(x), min_len, variance_floor)
 
 
 def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = None) -> EpochModel:
     """Globally optimal n-epoch segmentation under the minimum-length
-    constraint: one `_suffix_dp` max pass, O(L^2) time and O(_BLOCK * L)
-    memory, with forward reconstruction, which makes ties resolve to the
-    lexicographically smallest break vector."""
+    constraint: one `_suffix_dp` max pass, at most O(L^2) time and
+    O(_BLOCK * L) memory, with forward reconstruction, which makes ties
+    resolve to the lexicographically smallest break vector."""
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
     if n < 1:
         raise ValueError("n must be >= 1")
     length = len(x)
+    min_len = _min_length_by_start(length, config, dates)
     if n == 1:  # one segment, the whole series: no search
-        if length < _min_length_by_start(length, config, dates)[0]:
+        if length < min_len[0]:
             raise _infeasible(length, 1)
         return _model(x, [0], config.variance_floor)
-    score = _loglik_scorer(x, config, dates)
-    return _model(x, _ml_breaks(score, _suffix_dp(score, length, n, _row_max), n), config.variance_floor)
+    score = _loglik_scorer(x, min_len, config.variance_floor)
+    return _model(x, _ml_breaks(score, _suffix_dp(score, min_len, n, _row_max), n), config.variance_floor)
 
 
 def evidence_prior(series, config: EpochSearchConfig) -> dict:
@@ -327,8 +354,8 @@ def log_evidence(
     length, n_max = len(x), config.n_max
     min_len = _min_length_by_start(length, config, dates)
     evidence = _evidence_scorer(x, min_len, evidence_prior(x, config))
-    log_total = _suffix_dp(evidence, length, n_max, _row_logsumexp)[1:, 0]
-    log_count = _suffix_dp(partial(_feasible_scores, min_len), length, n_max, _row_logsumexp)[1:, 0]
+    log_total = _suffix_dp(evidence, min_len, n_max, _row_logsumexp)[1:, 0]
+    log_count = _suffix_dp(partial(_feasible_scores, min_len), min_len, n_max, _row_logsumexp)[1:, 0]
     with np.errstate(invalid="ignore"):
         return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
 
@@ -340,8 +367,9 @@ def select_n_with_landscape(
     `log_evidence` passes and one max pass for every n's breaks."""
     x = _series_values(series)
     evidence = log_evidence(x, config, dates)
-    score = _loglik_scorer(x, config, dates)
-    best = _suffix_dp(score, len(x), config.n_max, _row_max)
+    min_len = _min_length_by_start(len(x), config, dates)
+    score = _loglik_scorer(x, min_len, config.variance_floor)
+    best = _suffix_dp(score, min_len, config.n_max, _row_max)
     models = [
         _model(x, _ml_breaks(score, best, n), config.variance_floor)
         for n in range(1, config.n_max + 1)
@@ -399,7 +427,7 @@ def single_break_landscape(
     if len(x) == 0:
         raise ValueError("empty series")
     length = len(x)
-    score = _loglik_scorer(x, config, dates)
+    score = _loglik_scorer(x, _min_length_by_start(length, config, dates), config.variance_floor)
     inner = np.arange(1, length)
     out = np.full(length + 1, np.nan)
     v = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)

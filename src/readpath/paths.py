@@ -31,9 +31,11 @@ def divergence_matrix(thetas) -> np.ndarray:
     t = _check_distributions(thetas)
     log_t = np.log2(t)
     negent = np.sum(t * log_t, axis=1)  # sum_x theta_j log2 theta_j
-    m = negent[None, :] - log_t @ t.T  # [i, j]
+    m = log_t @ t.T  # [i, j]; the only D x D array
+    np.subtract(negent[None, :], m, out=m)
     np.fill_diagonal(m, 0.0)
-    return np.maximum(m, 0.0)
+    np.maximum(m, 0.0, out=m)
+    return m
 
 
 @dataclass(frozen=True)

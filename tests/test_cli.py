@@ -260,6 +260,23 @@ class TestArtifactChecks:
         assert main(["epochs", "--config", str(cfg)]) == 1
         assert "null_t2t.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epoch_input", ["raw", "relative"])
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    def test_null_csv_non_finite_mean_exit_1_names_file(self, tmp_path, capsys, epoch_input, mean):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        null_csv = tmp_path / "out" / "k2" / "null_t2t.csv"
+        rows = null_csv.read_text(encoding="utf-8").splitlines()
+        fields = rows[-1].split(",")
+        rows[-1] = ",".join([fields[0], mean] + fields[2:])
+        null_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["epochs", "--config", str(cfg), "--epochs.input", epoch_input]) == 1
+        err = capsys.readouterr().err
+        assert "null_t2t.csv" in err and "non-finite mean" in err
+        assert not (tmp_path / "out" / "k2" / "epochs_t2t.json").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

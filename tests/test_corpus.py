@@ -72,6 +72,38 @@ class TestLoadManifest:
         with pytest.raises(InputError, match="gone"):
             load_manifest(manifest)
 
+    def test_symlinked_directory_with_parent_and_absolute_cells(self, tmp_path):
+        # texts live beside the manifest's real directory, which is reached
+        # through a symlink whose lexical parent holds no "shared": a
+        # "../" cell must climb from the real directory, as the OS does.
+        real = tmp_path / "real"
+        shared = tmp_path / "shared"
+        real.mkdir()
+        manifest = write_manifest(
+            real,
+            [("a", "A", "1850-01-01", 1849, "a.txt"), ("b", "B", "1851-01-01", 1850, "b.txt")],
+            {"a.txt": "alpha beta", "b.txt": "beta gamma"},
+        )
+        shared.mkdir()
+        (shared / "c.txt").write_text("gamma delta", encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere" / "deep"
+        elsewhere.mkdir(parents=True)
+        (elsewhere / "link").symlink_to(real, target_is_directory=True)
+        with open(manifest, "a", newline="", encoding="utf-8") as fh:
+            fh.write("c,C,1852-01-01,1851,../shared/c.txt\n")
+            fh.write(f"d,D,1853-01-01,1852,{real / 'texts' / 'a.txt'}\n")
+        caches = []
+        for where in (manifest, elsewhere / "link" / "manifest.csv"):
+            records = load_manifest(where)
+            assert [r.text_file.read_text(encoding="utf-8") for r in records] == [
+                "alpha beta", "beta gamma", "gamma delta", "alpha beta"
+            ]
+            vocab, matrix = build_corpus(records, CFG_OPEN)
+            save_cache(tmp_path / "corpus.json", records, vocab, matrix)
+            caches.append((tmp_path / "corpus.json").read_bytes())
+        assert caches[0] == caches[1]
+        assert b'"text_path":"../shared/c.txt"' in caches[0]
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("id,title,when,pub_year,text_path\n", encoding="utf-8")

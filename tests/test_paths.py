@@ -66,6 +66,32 @@ class TestDivergenceMatrix:
         assert m[1, 3] == pytest.approx(kl_divergence(thetas[3], thetas[1]), abs=1e-10)
         assert not np.allclose(m, m.T)  # asymmetric in general
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        k=st.integers(1, 8),
+        concentration=st.sampled_from([0.05, 1.0, 50.0]),
+        duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, k=3, concentration=1.0, duplicates=False, seed=0)
+    @example(d=2, k=2, concentration=1.0, duplicates=True, seed=1)
+    @example(d=2, k=5, concentration=0.05, duplicates=False, seed=2)
+    def test_bit_equal_to_two_temporary_expression(self, d, k, concentration, duplicates, seed):
+        # The expression `divergence_matrix` had before it was built in
+        # place, kept as the bitwise oracle. Repeated rows give exact-zero
+        # and slightly negative entries that the clip meets.
+        rng = np.random.default_rng(seed)
+        thetas = np.maximum(rng.dirichlet(np.full(k, concentration), size=d), 1e-300)
+        if duplicates:
+            thetas = thetas[rng.integers(0, d, d)]
+        log_t = np.log2(thetas)
+        negent = np.sum(thetas * log_t, axis=1)
+        expected = negent[None, :] - log_t @ thetas.T
+        np.fill_diagonal(expected, 0.0)
+        expected = np.maximum(expected, 0.0)
+        assert divergence_matrix(thetas).tobytes() == expected.tobytes()
+
 
 class TestGreedyT2T:
     def test_tie_break_gives_ascending_order(self):
