@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import datetime as _dt
+import io
 import json
 import resource
 import sys
@@ -32,7 +33,7 @@ from . import paths as paths_mod
 from . import surprise as surprise_mod
 from . import topics as topics_mod
 from .config import RunConfig, apply_override, load_run_config
-from .errors import InputError
+from .errors import InputError, read_text
 
 SUMMARY_FORMAT_VERSION = 1
 
@@ -117,8 +118,7 @@ def _load_model(cfg: RunConfig, k: int, records, fingerprint: str) -> topics_mod
 
 
 def _load_null_means(path: Path, positions: int) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
+    rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))[1:]
     if len(rows) != positions:
         raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
     try:
@@ -133,20 +133,20 @@ def _load_null_means(path: Path, positions: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # pipeline steps (each writes its exports and returns its results)
 
-def cmd_ingest(cfg: RunConfig) -> dict:
+def cmd_ingest(cfg: RunConfig) -> str:
+    """Write the corpus cache and print its counts; returns the corpus
+    fingerprint."""
     if cfg.manifest is None:
         raise InputError("corpus.manifest is required for ingest")
     records = corpus_mod.load_manifest(cfg.manifest)
     vocab, matrix = corpus_mod.build_corpus(records, cfg.tokenizer_config())
     cfg.out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.save_cache(_corpus_path(cfg), records, vocab, matrix)
-    stats = corpus_mod.ingest_stats(vocab, matrix)
-    print(json.dumps(stats, sort_keys=True))
-    return stats
+    fingerprint = corpus_mod.save_cache(_corpus_path(cfg), records, vocab, matrix)
+    print(json.dumps(corpus_mod.ingest_stats(vocab, matrix), sort_keys=True))
+    return fingerprint
 
 
-def _train_models(cfg: RunConfig, vocab, matrix) -> dict[int, topics_mod.TopicModel]:
-    fingerprint = corpus_mod.corpus_fingerprint(vocab, matrix)
+def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> dict[int, topics_mod.TopicModel]:
     models = topics_mod.sweep_k(
         matrix, cfg.k_list, cfg.topic_params(), fingerprint=fingerprint, threads=cfg.threads
     )
@@ -172,7 +172,7 @@ def _train_models(cfg: RunConfig, vocab, matrix) -> dict[int, topics_mod.TopicMo
 
 def cmd_train(cfg: RunConfig) -> None:
     _, vocab, matrix = _load_corpus(cfg)
-    _train_models(cfg, vocab, matrix)
+    _train_models(cfg, matrix, corpus_mod.corpus_fingerprint(vocab, matrix))
 
 
 def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -200,12 +200,10 @@ def cmd_surprise(cfg: RunConfig) -> None:
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
     ncfg = cfg.null_config()
-    out = {}
-    for kind in surprise_mod.SERIES_VALUES:
-        ens = null_mod.build_null(model.theta, perms, kind)
+    out = null_mod.build_null(model.theta, perms)
+    for kind, ens in out.items():
         null_mod.write_ensemble_json(kdir / f"null_{kind.lower()}.json", ens, ncfg)
         null_mod.write_ensemble_csv(kdir / f"null_{kind.lower()}.csv", ens)
-        out[kind] = ens
     return out
 
 
@@ -221,15 +219,13 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
     rep_order = null_mod.publication_order_ids(records)
     doc_ids = [records[i].id for i in rep_order[1:]]
     pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
-    out = {}
-    for kind in surprise_mod.SERIES_VALUES:
-        series = null_mod.publication_order_series(model.theta, records, kind, ncfg)
+    out = null_mod.publication_order_series(model.theta, records, ncfg)
+    for kind, series in out.items():
         stem = kdir / f"puborder_{kind.lower()}"
         surprise_mod.write_series_csv(stem.with_suffix(".csv"), series, doc_ids, pub_years)
         surprise_mod.write_series_metadata(
             stem.with_suffix(".meta.json"), series, model.corpus_fingerprint
         )
-        out[kind] = series
     return out
 
 
@@ -272,16 +268,28 @@ def cmd_ranks(cfg: RunConfig) -> None:
         _step_ranks(_kdir(cfg, k), matrix, perms)
 
 
+def _series_dates(records) -> list:
+    """The read date at each series position: the first D - 1 documents'."""
+    return [r.read_date for r in records[: len(records) - 1]]
+
+
+def _placements(records, cfg: RunConfig):
+    """Log placement counts of the epoch search: they depend only on the
+    series dates, so both kinds and every k share one count."""
+    return epochs_mod.placement_log_counts(len(records) - 1, cfg.epoch_config(), _series_dates(records))
+
+
 def _step_epochs(
     kdir: Path, series: dict[str, surprise_mod.SurpriseSeries], records, cfg: RunConfig,
-    nulls: dict[str, null_mod.NullEnsemble] | None,
+    nulls: dict[str, null_mod.NullEnsemble] | None, placements,
 ) -> dict[str, dict]:
     """Fit epoch models for both series kinds. The series handed to the
     segmenter is the raw surprise by default (epochs.input = raw) or the
     null-relative surprise (epochs.input = relative); per-epoch relative
-    means are reported whenever null statistics are available."""
+    means are reported whenever null statistics are available.
+    ``placements`` is `_placements` of the records."""
     ecfg = cfg.epoch_config()
-    dates = [r.read_date for r in records[: len(records) - 1]]
+    dates = _series_dates(records)
     out = {}
     for kind in surprise_mod.SERIES_VALUES:
         values = series[kind].values
@@ -297,7 +305,9 @@ def _step_epochs(
             fit_values = values - null_means
         else:
             fit_values = values
-        best, table, landscape = epochs_mod.select_n_with_landscape(fit_values, ecfg, dates=dates)
+        best, table, landscape = epochs_mod.select_n_with_landscape(
+            fit_values, ecfg, dates=dates, log_placements=placements
+        )
         break_dates = epochs_mod.break_to_date(best, records)
         rel_means = None
         if null_means is not None:
@@ -330,9 +340,10 @@ def _step_epochs(
 
 def cmd_epochs(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
+    placements = _placements(records, cfg)
     for k in cfg.k_list:
         model = _load_model(cfg, k, records, fingerprint)
-        _step_epochs(_kdir(cfg, k), _reading_series(model), records, cfg, nulls=None)
+        _step_epochs(_kdir(cfg, k), _reading_series(model), records, cfg, None, placements)
 
 
 def _declared_exports(cfg: RunConfig) -> list[str]:
@@ -360,16 +371,22 @@ def cmd_run(cfg: RunConfig) -> None:
     stage_s = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with _timed(stage_s, "ingest"):
+        fingerprint = None
         if not _corpus_path(cfg).exists():
             if cfg.manifest is None:
                 raise InputError("no corpus cache and no corpus.manifest configured")
-            cmd_ingest(cfg)
+            fingerprint = cmd_ingest(cfg)
+        # The models train on the reloaded cache, the same counts that ingest
+        # fingerprinted; keeping the ingested objects instead raises peak RSS.
         records, vocab, matrix = _load_corpus(cfg)
     with _timed(stage_s, "train"):
-        models = _train_models(cfg, vocab, matrix)
+        if fingerprint is None:
+            fingerprint = corpus_mod.corpus_fingerprint(vocab, matrix)
+        models = _train_models(cfg, matrix, fingerprint)
     with _timed(stage_s, "null"):
         perms = null_mod.null_permutations(records, cfg.null_config())
 
+    placements = None
     for k, model in models.items():
         kdir = _kdir(cfg, k)
         with _timed(stage_s, "surprise"):
@@ -385,7 +402,11 @@ def cmd_run(cfg: RunConfig) -> None:
             ranks = _step_ranks(kdir, matrix, perms)
         del matrix  # free the D x D divergence matrix before the epoch fit
         with _timed(stage_s, "epochs"):
-            epoch_info = _step_epochs(kdir, series, records, cfg, nulls)
+            # First needed here, after the matrix is freed: the count pass's
+            # temporaries would otherwise stay resident under its peak.
+            if placements is None:
+                placements = _placements(records, cfg)
+            epoch_info = _step_epochs(kdir, series, records, cfg, nulls, placements)
 
         summary = {
             "format_version": SUMMARY_FORMAT_VERSION,
@@ -436,8 +457,8 @@ def cmd_run(cfg: RunConfig) -> None:
 
 def _load_bundle_json(path: Path) -> dict:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise InputError(f"malformed bundle file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError(f"malformed bundle file {path}: not a JSON object")

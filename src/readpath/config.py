@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .corpus import TokenizerConfig
 from .epochs import EpochSearchConfig
-from .errors import InputError
+from .errors import InputError, read_text
 from .nullmodel import NullConfig
 from .topics import TopicModelParams
 
@@ -169,7 +169,7 @@ def load_run_config(path: Path | str | None) -> RunConfig:
         raise InputError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(read_text(path), source=str(path))
     except configparser.Error as exc:
         raise InputError(f"cannot parse config {path}: {exc}") from exc
     if parser.has_option("topics", "k") and parser.has_option("topics", "k_list"):

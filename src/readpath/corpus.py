@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import re
 import unicodedata
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 CACHE_FORMAT_VERSION = 1
 
@@ -157,7 +158,7 @@ def load_stopwords(path: Path | None = None) -> frozenset[str]:
     if not p.exists():
         raise InputError(f"stopword file not found: {p}")
     words = set()
-    for line in p.read_text(encoding="utf-8").splitlines():
+    for line in read_text(p).splitlines():
         tok = line.strip()
         if tok:
             words.add(tok.lower())
@@ -182,19 +183,18 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
     if not path.exists():
         raise InputError(f"manifest not found: {path}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-            raise InputError(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise InputError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields")
-            rows.append((lineno, [c.strip() for c in row]))
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
+        raise InputError(
+            f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {header}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(MANIFEST_COLUMNS):
+            raise InputError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields")
+        rows.append((lineno, [c.strip() for c in row]))
 
     # Resolved once: a realpath per row would be half of this function's
     # time. An absolute cell replaces the base when joined, and the OS walks
@@ -234,6 +234,17 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
     ]
 
 
+def _ascii_text(text: str) -> str:
+    """Rejoin words split by a hyphen + line break, then transliterate to
+    ASCII (NFKD decomposition, unmappable characters dropped)."""
+    text = _HYPHEN_LINEBREAK.sub("", text)
+    return unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
+
+
+def _stopwords(config: TokenizerConfig) -> frozenset[str]:
+    return _cached_stopwords(str(config.stopword_path) if config.stopword_path else None)
+
+
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     """Normalize raw text to a token list.
 
@@ -243,11 +254,9 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     letters (digits, punctuation, including apostrophes); lowercase;
     drop stopwords. Deterministic; empty output is allowed.
     """
-    text = _HYPHEN_LINEBREAK.sub("", text)
-    text = unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
-    stopwords = _cached_stopwords(str(config.stopword_path) if config.stopword_path else None)
+    stopwords = _stopwords(config)
     out = []
-    for raw in text.split():
+    for raw in _ascii_text(text).split():
         if not raw.isalpha():
             continue
         tok = raw.lower()
@@ -257,30 +266,49 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     return out
 
 
+def _words(text: str) -> list[str]:
+    """Every whitespace-separated word of the ASCII text, lowercased.
+    Lowercasing the ASCII text whole changes no split and no letter test,
+    so `tokenize` keeps exactly the words that `_is_token` keeps."""
+    return _ascii_text(text).lower().split()
+
+
+def _is_token(word: str, stopwords: frozenset[str]) -> bool:
+    return word.isalpha() and word not in stopwords
+
+
 def build_corpus(
     records: list[VolumeRecord], config: TokenizerConfig
 ) -> tuple[Vocabulary, CorpusMatrix]:
-    """Tokenize every record's text and build the frequency-filtered corpus.
+    """Count every record's tokens and build the frequency-filtered corpus.
 
     Global token frequencies are computed over the whole reading list;
     tokens with corpus frequency outside [min_count, max_count] are removed
     everywhere. A document left with zero tokens is an error: every
     document must be able to carry a topic distribution downstream.
+
+    Each document is held as the counts of its distinct `_words`, so memory
+    grows with the distinct (document, word) pairs, not with the tokens,
+    and each distinct word of the corpus is tested as a token once: the
+    counts are those of `tokenize`.
     """
-    doc_tokens = []
+    doc_counts = []
+    freq = Counter()
     for rec in records:
         if rec.text_file is None:
             raise InputError(f"record {rec.id!r}: no text file to read (load the manifest to ingest)")
         try:
-            text = rec.text_file.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"record {rec.id!r}: cannot read text file: {exc}") from exc
-        doc_tokens.append(tokenize(text, config))
-
-    freq = Counter()
-    for toks in doc_tokens:
-        freq.update(toks)
-    retained = {t: c for t, c in freq.items() if config.min_count <= c <= config.max_count}
+            text = read_text(rec.text_file)
+        except InputError as exc:
+            raise InputError(f"record {rec.id!r}: {exc}") from exc
+        words = _words(text)
+        freq.update(words)
+        doc_counts.append(Counter(words))
+    stopwords = _stopwords(config)
+    retained = {
+        t: c for t, c in freq.items()
+        if _is_token(t, stopwords) and config.min_count <= c <= config.max_count
+    }
 
     ordered = sorted(retained)
     vocab = Vocabulary(tokens=tuple(ordered), frequencies=tuple(retained[t] for t in ordered))
@@ -289,15 +317,14 @@ def build_corpus(
     indptr = [0]
     indices: list[int] = []
     counts: list[int] = []
-    for rec, toks in zip(records, doc_tokens):
-        doc_counts = Counter(t for t in toks if t in index)
-        if not doc_counts:
+    for rec, doc in zip(records, doc_counts):
+        kept = sorted(doc.keys() & index.keys())
+        if not kept:
             raise InputError(
                 f"record {rec.id!r}: no tokens remain after frequency filtering"
             )
-        for tok in sorted(doc_counts):
-            indices.append(index[tok])
-            counts.append(doc_counts[tok])
+        indices.extend(map(index.__getitem__, kept))
+        counts.extend(map(doc.__getitem__, kept))
         indptr.append(len(indices))
 
     matrix = CorpusMatrix(
@@ -319,48 +346,75 @@ def ingest_stats(vocab: Vocabulary, matrix: CorpusMatrix) -> dict:
     }
 
 
-def _cache_payload(records: list[VolumeRecord], vocab: Vocabulary, matrix: CorpusMatrix) -> dict:
-    return {
-        "format_version": CACHE_FORMAT_VERSION,
-        "kind": "corpus-cache",
-        "records": [
-            {
-                "id": r.id,
-                "title": r.title,
-                "read_date": r.read_date.isoformat(),
-                "read_seq": r.read_seq,
-                "pub_year": r.pub_year,
-                "text_path": str(r.text_path),
-            }
-            for r in records
-        ],
-        "vocabulary": {"tokens": list(vocab.tokens), "frequencies": list(vocab.frequencies)},
-        "documents": {
-            "indptr": matrix.indptr.tolist(),
-            "indices": matrix.indices.tolist(),
-            "counts": matrix.counts.tolist(),
-        },
-    }
-
-
 def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+# The arrays that the fingerprint covers, in the key order of its canonical
+# JSON. The cache file holds them in the same order (the documents' counts,
+# indices and indptr, then the vocabulary's tokens), so `save_cache` hashes
+# each one as it writes it.
+_FINGERPRINTED = ("counts", "indices", "indptr", "tokens")
+
+
+def _array_json(vocab: Vocabulary, matrix: CorpusMatrix, key: str) -> bytes:
+    return canonical_json_bytes(list(vocab.tokens) if key == "tokens" else getattr(matrix, key).tolist())
+
+
+def _fingerprint(pieces) -> str:
+    """SHA-256 of the canonical JSON object of the ``pieces``, (key, encoded
+    array) pairs in `_FINGERPRINTED` order; each is dropped once hashed."""
+    digest = hashlib.sha256()
+    for i, (key, piece) in enumerate(pieces):
+        digest.update((b"," if i else b"{") + canonical_json_bytes(key) + b":")
+        digest.update(piece)
+    digest.update(b"}")
+    return digest.hexdigest()
+
+
 def corpus_fingerprint(vocab: Vocabulary, matrix: CorpusMatrix) -> str:
     """SHA-256 over the canonical serialization of vocabulary + counts."""
-    payload = {
-        "tokens": list(vocab.tokens),
-        "indptr": matrix.indptr.tolist(),
-        "indices": matrix.indices.tolist(),
-        "counts": matrix.counts.tolist(),
+    return _fingerprint((key, _array_json(vocab, matrix, key)) for key in _FINGERPRINTED)
+
+
+def save_cache(path: Path | str, records: list[VolumeRecord], vocab: Vocabulary, matrix: CorpusMatrix) -> str:
+    """Write the corpus artifact as canonical JSON (byte-stable across runs)
+    and return its `corpus_fingerprint`, both from one encoding of each
+    array, held one at a time."""
+    records_json = canonical_json_bytes([
+        {
+            "id": r.id,
+            "title": r.title,
+            "read_date": r.read_date.isoformat(),
+            "read_seq": r.read_seq,
+            "pub_year": r.pub_year,
+            "text_path": str(r.text_path),
+        }
+        for r in records
+    ])
+    # The file's text before each fingerprinted array: the canonical JSON
+    # of the cache payload, keys sorted at every level.
+    before = {
+        "counts": b'{"documents":{"counts":',
+        "indices": b',"indices":',
+        "indptr": b',"indptr":',
+        "tokens": b'},"format_version":' + canonical_json_bytes(CACHE_FORMAT_VERSION)
+        + b',"kind":"corpus-cache","records":' + records_json
+        + b',"vocabulary":{"frequencies":' + canonical_json_bytes(list(vocab.frequencies))
+        + b',"tokens":',
     }
-    return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
+    with open(path, "wb") as fh:
 
+        def written():
+            for key in _FINGERPRINTED:
+                piece = _array_json(vocab, matrix, key)
+                fh.write(before[key])
+                fh.write(piece)
+                yield key, piece
 
-def save_cache(path: Path | str, records: list[VolumeRecord], vocab: Vocabulary, matrix: CorpusMatrix) -> None:
-    """Write the corpus artifact as canonical JSON (byte-stable across runs)."""
-    Path(path).write_bytes(canonical_json_bytes(_cache_payload(records, vocab, matrix)))
+        fingerprint = _fingerprint(written())
+        fh.write(b"}}")
+    return fingerprint
 
 
 def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix]:
@@ -368,7 +422,7 @@ def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, Corpus
     if not path.exists():
         raise InputError(f"corpus cache not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"corpus cache {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -39,7 +39,8 @@ that the level below can still complete, so a minimum of mu positions
 leaves about (L - mu)^2 / 2 scores per pass and ever fewer terms per
 level: O(L^2) time at most. A series costs a max, an evidence and a
 placement-count pass; its single-break landscape is row 0 plus column L
-of the scores, O(L).
+of the scores, O(L). The count pass depends only on the minimum lengths,
+so `placement_log_counts` lets series that share their dates share it.
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -341,6 +342,29 @@ def evidence_prior(series, config: EpochSearchConfig) -> dict:
     return {"m0": float(x.mean()), "kappa0": PRIOR_KAPPA0, "a0": PRIOR_A0, "b0": PRIOR_A0 * var}
 
 
+def _placement_log_counts(min_len: np.ndarray, n_max: int) -> np.ndarray:
+    return _suffix_dp(partial(_feasible_scores, min_len), min_len, n_max, _row_logsumexp)[1:, 0]
+
+
+def placement_log_counts(
+    length: int, config: EpochSearchConfig, dates: list[date] | None = None
+) -> np.ndarray:
+    """Log number of admissible break placements for n = 1..n_max epochs
+    over ``length`` positions (-inf where there is none): one `_suffix_dp`
+    logsumexp pass. It depends only on the minimum lengths, so every
+    series of that length and those dates shares it."""
+    return _placement_log_counts(_min_length_by_start(length, config, dates), config.n_max)
+
+
+def _log_evidence(
+    x: np.ndarray, config: EpochSearchConfig, min_len: np.ndarray, log_count: np.ndarray
+) -> np.ndarray:
+    evidence = _evidence_scorer(x, min_len, evidence_prior(x, config))
+    log_total = _suffix_dp(evidence, min_len, config.n_max, _row_logsumexp)[1:, 0]
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
+
+
 def log_evidence(
     series, config: EpochSearchConfig, dates: list[date] | None = None
 ) -> np.ndarray:
@@ -351,23 +375,29 @@ def log_evidence(
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    length, n_max = len(x), config.n_max
-    min_len = _min_length_by_start(length, config, dates)
-    evidence = _evidence_scorer(x, min_len, evidence_prior(x, config))
-    log_total = _suffix_dp(evidence, min_len, n_max, _row_logsumexp)[1:, 0]
-    log_count = _suffix_dp(partial(_feasible_scores, min_len), min_len, n_max, _row_logsumexp)[1:, 0]
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
+    min_len = _min_length_by_start(len(x), config, dates)
+    return _log_evidence(x, config, min_len, _placement_log_counts(min_len, config.n_max))
 
 
 def select_n_with_landscape(
-    series, config: EpochSearchConfig, dates: list[date] | None = None
+    series,
+    config: EpochSearchConfig,
+    dates: list[date] | None = None,
+    log_placements: np.ndarray | None = None,
 ) -> tuple[EpochModel, list[dict], np.ndarray]:
-    """`select_n` and `single_break_landscape` of one series: the
-    `log_evidence` passes and one max pass for every n's breaks."""
+    """`select_n` and `single_break_landscape` of one series: an evidence
+    pass and one max pass for every n's breaks. ``log_placements`` is
+    `placement_log_counts` of the series' length and dates, computed here
+    when not given."""
     x = _series_values(series)
-    evidence = log_evidence(x, config, dates)
+    if len(x) == 0:
+        raise ValueError("empty series")
     min_len = _min_length_by_start(len(x), config, dates)
+    if log_placements is None:
+        log_placements = _placement_log_counts(min_len, config.n_max)
+    elif np.shape(log_placements) != (config.n_max,):
+        raise ValueError(f"need one placement count per n = 1..{config.n_max}")
+    evidence = _log_evidence(x, config, min_len, log_placements)
     score = _loglik_scorer(x, min_len, config.variance_floor)
     best = _suffix_dp(score, min_len, config.n_max, _row_max)
     models = [

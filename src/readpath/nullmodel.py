@@ -15,8 +15,18 @@ Sample j of an ensemble draws from its own PCG64 stream seeded by
 kinds (`build_null`) and the rank statistics read the same M orders. It
 fills all M permutations slot by slot together, one array step per slot
 (D steps over M rows), in one `sample_batch` call.
-Every value comes from `surprise`'s row kernel; the exact publication-order
-mean evaluates each year's tie orders in fixed-size blocks.
+
+One evaluator, `_OrderValues`, gives both kinds of surprise of every
+sampled order: the M null orders and the Monte Carlo publication orders.
+Per order it gathers theta into one preallocated D x k buffer and writes
+the T2T and T2P rows with in-place arithmetic, the T2P past mean as a
+running sum divided by 1..D-1. It repeats `surprise`'s row kernel bit for
+bit, and allocates nothing per order: O(M * D * k) time and O(D * k)
+scratch, beside the (M, D-1) values of each kind that `build_null` reduces.
+The within-year shuffles are drawn once per call, one order at a time,
+and each serves both kinds.
+The exact publication-order mean evaluates each year's tie orders through
+`surprise`'s row kernel in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -34,12 +44,14 @@ import numpy as np
 from .errors import InputError
 from .surprise import (
     PUBLICATION_ORDER,
-    SERIES_VALUES,
     SurpriseSeries,
     _check_sequence,
     _kl_rows,
     _pairwise_values,
 )
+
+# The kinds that both ensembles compute, in the order of `_OrderValues` rows.
+KINDS = ("T2T", "T2P")
 
 # Stream tag for within-year shuffles, disjoint from per-sample tags (0..M-1).
 _PUBORDER_STREAM = 2**62
@@ -64,11 +76,48 @@ class NullConfig:
             raise ValueError("within-year settings must be >= 1")
 
 
-def _value_function(kind: str):
-    """The value function of ``kind``, which must be T2T or T2P."""
-    if kind not in SERIES_VALUES:
-        raise ValueError(f"kind must be one of {tuple(SERIES_VALUES)}, got {kind!r}")
-    return SERIES_VALUES[kind]
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+class _OrderValues:
+    """Both surprise kinds of one order of the D rows of ``thetas``, with
+    the arithmetic of `surprise._pairwise_values` and
+    `surprise._window_mean_values` in the same order, so the same bits,
+    into buffers allocated once. The full-past mean is the running sum of
+    the rows before each position, divided by their count: the same bits
+    as the windowed form's (sum - 0.0) / count."""
+
+    def __init__(self, thetas: np.ndarray):
+        d, k = thetas.shape
+        self.thetas = thetas
+        self.q = np.empty((d, k))
+        self.work = np.empty((d - 1, k))
+        # Dividing by a full array, not a broadcast column, keeps the
+        # division contiguous; the quotients are the same.
+        self.counts = np.repeat(np.arange(1.0, d), k).reshape(d - 1, k)
+
+    def __call__(self, order: np.ndarray, out) -> None:
+        """Write the T2T and T2P values of ``order`` (D indices, each in
+        range) into ``out[0]`` and ``out[1]``, two rows of D - 1."""
+        q, work = self.q, self.work
+        np.take(self.thetas, order, axis=0, out=q, mode="clip")
+        np.divide(q[1:], q[:-1], out=work)
+        _kl_from_ratios(q[1:], work, out[0])
+        np.cumsum(q[:-1], axis=0, out=work)
+        np.divide(work, self.counts, out=work)  # the past means
+        np.divide(q[1:], work, out=work)
+        _kl_from_ratios(q[1:], work, out[1])
+
+
+def _kl_from_ratios(q: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
+    """`surprise._kl_rows` of (q, p) into ``out``, given ``ratios`` = q / p,
+    which it overwrites."""
+    np.log2(ratios, out=ratios)
+    np.multiply(q, ratios, out=ratios)
+    ratios.sum(axis=-1, out=out)
+    np.maximum(out, 0.0, out=out)
 
 
 class ConstrainedPermutationSampler:
@@ -179,7 +228,7 @@ class NullEnsemble:
     p_value: float
 
     def __post_init__(self):
-        _value_function(self.kind)
+        _check_kind(self.kind)
         if not (0.0 <= self.p_value <= 1.0):
             raise ValueError("p-value out of [0, 1]")
 
@@ -199,34 +248,45 @@ class NullEnsemble:
         return [float(x) for x in np.quantile(self.sample_aggregates, qs)]
 
 
-def build_null(thetas, perms, kind: str) -> NullEnsemble:
-    """Evaluate the surprise series of each permutation in ``perms`` (an
-    (M, D) array of orders, as from `null_permutations`) and reduce to
-    per-position and aggregate null statistics.
+def build_null(thetas, perms) -> dict[str, NullEnsemble]:
+    """Evaluate both surprise kinds of each permutation in ``perms`` (an
+    (M, D) array of orders, as from `null_permutations`) and reduce each
+    kind to per-position and aggregate null statistics, keyed by kind.
 
     The one-sided empirical p-value tests for below-null surprise:
     (#{samples with aggregate <= observed} + 1) / (M + 1).
     """
     thetas = _check_sequence(thetas)
     perms = np.asarray(perms, dtype=np.int64)
-    if perms.ndim != 2 or len(perms) == 0 or perms.shape[1] != thetas.shape[0]:
+    d = thetas.shape[0]
+    if perms.ndim != 2 or len(perms) == 0 or perms.shape[1] != d:
         raise ValueError("perms must be a nonempty (M, D) array of orders over the D thetas")
-    series_values = _value_function(kind)
-    values = np.empty((len(perms), thetas.shape[0] - 1), dtype=np.float64)
+    if perms.min() < 0 or perms.max() >= d:
+        raise ValueError("perms must index the D thetas")
+    evaluate = _OrderValues(thetas)
+    # One array per kind: one stacked (2, M, D-1) block raised the later
+    # peak RSS of a long-list run by about 2 MB, as freed blocks that large
+    # stay with the process.
+    values = [np.empty((len(perms), d - 1)) for _ in KINDS]
     for j, perm in enumerate(perms):
-        values[j] = series_values(thetas[perm])
+        evaluate(perm, [v[j] for v in values])
+    observed = np.empty((len(KINDS), d - 1))
+    evaluate(np.arange(d), observed)
 
-    observed = float(series_values(thetas).mean())
-    aggregates = values.mean(axis=1)
-    p = (int(np.count_nonzero(aggregates <= observed)) + 1) / (len(perms) + 1)
-    return NullEnsemble(
-        kind=kind,
-        position_mean=values.mean(axis=0),
-        position_std=values.std(axis=0),
-        sample_aggregates=aggregates,
-        observed_aggregate=observed,
-        p_value=p,
-    )
+    out = {}
+    for kind, kind_values, kind_observed in zip(KINDS, values, observed):
+        aggregates = kind_values.mean(axis=1)
+        observed_mean = float(kind_observed.mean())
+        p = (int(np.count_nonzero(aggregates <= observed_mean)) + 1) / (len(perms) + 1)
+        out[kind] = NullEnsemble(
+            kind=kind,
+            position_mean=kind_values.mean(axis=0),
+            position_std=kind_values.std(axis=0),
+            sample_aggregates=aggregates,
+            observed_aggregate=observed_mean,
+            p_value=p,
+        )
+    return out
 
 
 def _year_groups(records) -> list[list[int]]:
@@ -285,30 +345,53 @@ def _exact_within_year_values(thetas: np.ndarray, groups: list[list[int]], kind:
     return np.concatenate(parts)[1:]
 
 
-def publication_order_series(thetas, records, kind: str, config: NullConfig) -> SurpriseSeries:
-    """Surprise along publication order, averaged over within-year tie
-    orders: exactly (per-group enumeration) when every tie group is at
-    most ``within_year_exact_threshold`` documents, otherwise over
-    ``within_year_samples`` Monte Carlo shuffles. Positions are ordinal.
+def _within_year_orders(groups: list[list[int]], config: NullConfig):
+    """Yield the ``within_year_samples`` Monte Carlo publication orders, one
+    at a time in one reused array: each shuffles every year group in turn,
+    all from the one stream (seed, 2**62). Each order starts as the groups
+    in canonical order and each group's slice is shuffled in place, which
+    draws what ``rng.permutation(group)`` draws (a copy, then the same
+    shuffle); a group of one draws nothing, so it is skipped."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((config.seed, _PUBORDER_STREAM)))
+    )
+    bounds = np.cumsum([0] + [len(g) for g in groups]).tolist()
+    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo > 1]
+    canonical = np.array([i for g in groups for i in g], dtype=np.int64)
+    order = np.empty_like(canonical)
+    for _ in range(config.within_year_samples):
+        order[:] = canonical
+        for lo, hi in spans:
+            rng.shuffle(order[lo:hi])
+        yield order
+
+
+def publication_order_series(thetas, records, config: NullConfig) -> dict[str, SurpriseSeries]:
+    """Both kinds of surprise along publication order, keyed by kind,
+    averaged over within-year tie orders: exactly (per-group enumeration)
+    when every tie group is at most ``within_year_exact_threshold``
+    documents, otherwise over ``within_year_samples`` Monte Carlo
+    shuffles, drawn once for both kinds. Positions are ordinal.
     """
     thetas = _check_sequence(thetas)
     if thetas.shape[0] != len(records):
         raise ValueError("thetas and records must align")
-    series_values = _value_function(kind)
 
     groups = _year_groups(records)
     if all(len(g) <= config.within_year_exact_threshold for g in groups):
-        vals = _exact_within_year_values(thetas, groups, kind)
+        vals = [_exact_within_year_values(thetas, groups, kind) for kind in KINDS]
     else:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((config.seed, _PUBORDER_STREAM)))
-        )
-        acc = np.zeros(thetas.shape[0] - 1)
-        for _ in range(config.within_year_samples):
-            order = np.concatenate([rng.permutation(g) for g in groups])
-            acc += series_values(thetas[order])
+        evaluate = _OrderValues(thetas)
+        acc = np.zeros((len(KINDS), thetas.shape[0] - 1))
+        row = np.empty_like(acc)
+        for order in _within_year_orders(groups, config):
+            evaluate(order, row)
+            acc += row
         vals = acc / config.within_year_samples
-    return SurpriseSeries(kind=kind, values=vals, ordering=PUBLICATION_ORDER)
+    return {
+        kind: SurpriseSeries(kind=kind, values=v, ordering=PUBLICATION_ORDER)
+        for kind, v in zip(KINDS, vals)
+    }
 
 
 def publication_order_ids(records) -> list[int]:

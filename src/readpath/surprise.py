@@ -9,8 +9,9 @@ silently bending the measure.
 Series conventions: for D ordered documents, surprise is defined at
 positions 1..D-1 (the first document has no predecessor), stored in a
 length D-1 array where ``values[j]`` belongs to position j+1. Every
-series value, here and in `nullmodel`, comes from one row kernel,
-`_kl_rows`; the scalar `kl_divergence` is its test reference.
+series value here comes from one row kernel, `_kl_rows`, which
+`nullmodel._OrderValues` repeats in place, bit for bit, for the sampled
+orders; the scalar `kl_divergence` is its test reference.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _window_mean_values(thetas: np.ndarray, n_window: int | None = None) -> np.n
     return _kl_rows(thetas[1:], past_mean)
 
 
-# The kinds that the null model and the publication order compare.
+# The kinds that the null model and the publication order compare, with
+# the value functions that `nullmodel._OrderValues` repeats in place.
 SERIES_VALUES = {"T2T": _pairwise_values, "T2P": _window_mean_values}
 
 

@@ -191,7 +191,7 @@ class TopicModel:
 
     def __post_init__(self):
         for name, m in (("theta", self.theta), ("phi", self.phi)):
-            if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+            if not np.abs(m.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:  # NaN fails too
                 raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
             if m.min() <= 0:
                 raise ValueError(f"{name} entries must be strictly positive")
@@ -303,6 +303,9 @@ def save_model(path: Path | str, model: TopicModel) -> None:
 
 
 def load_model(path: Path | str) -> TopicModel:
+    """Read a `save_model` artifact. A malformed header, a body of the wrong
+    size or a body that breaks the model's invariants (rows on the simplex,
+    strictly positive) is an InputError naming the file."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"model artifact not found: {path}")
@@ -310,11 +313,17 @@ def load_model(path: Path | str) -> TopicModel:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise InputError(f"model artifact {path}: bad header") from exc
+        if not isinstance(header, dict):
+            raise InputError(f"model artifact {path}: bad header")
         if header.get("kind") != "topic-model" or header.get("format_version") != MODEL_FORMAT_VERSION:
             raise InputError(f"model artifact {path}: unsupported format tag")
-        d, k, v = header["d"], header["k"], header["v"]
+        try:
+            d, k, v = (int(header[key]) for key in ("d", "k", "v"))
+            params = TopicModelParams(**header["params"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"model artifact {path}: bad header entry {exc}") from exc
         body = fh.read()
     if len(body) != (d * k + k * v) * 8:
         raise InputError(
@@ -323,7 +332,9 @@ def load_model(path: Path | str) -> TopicModel:
         )
     theta = np.frombuffer(body, dtype=np.float64, count=d * k).reshape(d, k)
     phi = np.frombuffer(body, dtype=np.float64, offset=d * k * 8).reshape(k, v)
-    params = TopicModelParams(**header["params"])
-    return TopicModel(
-        theta=theta, phi=phi, params=params, corpus_fingerprint=header.get("corpus_fingerprint", "")
-    )
+    try:
+        return TopicModel(
+            theta=theta, phi=phi, params=params, corpus_fingerprint=header.get("corpus_fingerprint", "")
+        )
+    except ValueError as exc:
+        raise InputError(f"corrupted model artifact {path}: {exc}") from exc

@@ -159,7 +159,7 @@ def test_c05_null_ensemble_oracle():
     exact_mean = oracle_vals.mean(axis=0)
     exact_std = oracle_vals.std(axis=0)
     m = 2000
-    ens = build_null(thetas, null_permutations(records, NullConfig(samples=m, seed=1)), "T2T")
+    ens = build_null(thetas, null_permutations(records, NullConfig(samples=m, seed=1)))["T2T"]
     se = exact_std / np.sqrt(m)
     gaps = np.abs(ens.position_mean - exact_mean)
     ok = bool(np.all(gaps <= 3 * se + 1e-12))

@@ -169,7 +169,8 @@ class TestWorkPerK:
         monkeypatch.setattr(epochs, "_suffix_dp", counted_pass)
         assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
         # one ensemble per run; per k one matrix and one series of each
-        # kind; per series one max, one evidence and one placement-count pass
+        # kind; per series one max and one evidence pass; one placement-count
+        # pass per run, since every series shares its dates
         assert counts == {
             "permutations": DEMO_SAMPLES,
             "divergence_matrix": 2,
@@ -177,7 +178,7 @@ class TestWorkPerK:
             "t2p_series": 2,
             "_loglik_scores": 4,
             "_evidence_scores": 4,
-            "_feasible_scores": 4,
+            "_feasible_scores": 1,
         }
 
     @pytest.mark.parametrize("command", ["null", "ranks"])
@@ -211,6 +212,45 @@ class TestArtifactChecks:
         capsys.readouterr()
         assert main(["surprise", "--config", str(cfg)]) == 1
         assert "model.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["theta_exponent", "theta_nan"])
+    def test_corrupted_model_body_exit_1_names_file(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "k2" / "model.bin"
+        data = bytearray(model.read_bytes())
+        theta = data.index(b"\n") + 1  # theta[0, 0], little-endian float64
+        if edit == "theta_exponent":
+            data[theta + 7] = 0x7F  # the row no longer sums to 1
+        else:
+            data[theta:theta + 8] = b"\xff" * 8  # NaN, which no comparison fails
+        model.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["surprise", "--config", str(cfg)]) == 1
+        assert "model.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target,command",
+        [
+            ("out/corpus.json", "surprise"),
+            ("manifest.csv", "ingest"),
+            ("out/k2/null_t2t.csv", "epochs"),
+            ("run.cfg", "surprise"),
+            ("texts/v003.txt", "ingest"),
+        ],
+    )
+    def test_non_utf8_byte_exit_1_names_file(self, tmp_path, capsys, target, command):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        path = tmp_path / target
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF  # never valid in UTF-8
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        assert path.name in capsys.readouterr().err
 
     def test_stale_null_csv_exit_1_names_file(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)

@@ -1,13 +1,23 @@
+import json
+import tempfile
+from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readpath.corpus import (
+    CorpusMatrix,
     TokenizerConfig,
+    Vocabulary,
+    VolumeRecord,
     build_corpus,
+    _is_token,
+    _stopwords,
+    _words,
     corpus_fingerprint,
     ingest_stats,
     load_cache,
@@ -20,6 +30,64 @@ from readpath.errors import InputError
 from conftest import write_manifest
 
 CFG_OPEN = TokenizerConfig(min_count=0, max_count=10**9)
+
+# Pieces of text that exercise every tokenizer step: case, stopwords,
+# accents and ligatures, apostrophes, hyphens at and inside line breaks,
+# digits, and the \x1c-\x1f separators that str.split treats as spaces.
+TEXT_PIECES = [
+    "Origin", "origin", "ORIGIN", "the", "The", "and", "of", "Species",
+    "café", "naïve", "Über", "ﬁnches", "straße", "İsland", "Æther",
+    "Darwin's", "it’s", "'tis", "natu-\n", "natu-\r\n", "ral", "well-known", "-",
+    "1859", "spec1es", "x2", "\x1c", "\x1d", "\x1e", "\x1f",
+    " ", "\n", "\r\n", "\t", "\u2003", ".", ",", "—",
+]
+texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=60).map("".join) | st.text(max_size=80)
+
+
+def reference_build_corpus(texts, config):
+    """Token-list reference for `build_corpus` on in-memory texts: every
+    token held as a string, counted per document after `tokenize`."""
+    doc_tokens = [tokenize(t, config) for t in texts]
+    freq = Counter()
+    for toks in doc_tokens:
+        freq.update(toks)
+    retained = {t: c for t, c in freq.items() if config.min_count <= c <= config.max_count}
+    ordered = sorted(retained)
+    index = {t: i for i, t in enumerate(ordered)}
+    indptr, indices, counts = [0], [], []
+    for toks in doc_tokens:
+        doc = Counter(t for t in toks if t in index)
+        for tok in sorted(doc):
+            indices.append(index[tok])
+            counts.append(doc[tok])
+        indptr.append(len(indices))
+    return tuple(ordered), tuple(retained[t] for t in ordered), indptr, indices, counts
+
+
+def reference_cache_bytes(records, vocab, matrix):
+    """The corpus cache as one canonical JSON dump of the whole payload."""
+    payload = {
+        "format_version": 1,
+        "kind": "corpus-cache",
+        "records": [
+            {
+                "id": r.id,
+                "title": r.title,
+                "read_date": r.read_date.isoformat(),
+                "read_seq": r.read_seq,
+                "pub_year": r.pub_year,
+                "text_path": str(r.text_path),
+            }
+            for r in records
+        ],
+        "vocabulary": {"tokens": list(vocab.tokens), "frequencies": list(vocab.frequencies)},
+        "documents": {
+            "indptr": matrix.indptr.tolist(),
+            "indices": matrix.indices.tolist(),
+            "counts": matrix.counts.tolist(),
+        },
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 class TestLoadManifest:
@@ -142,6 +210,15 @@ class TestTokenize:
         with pytest.raises(ValueError):
             TokenizerConfig(min_count=10, max_count=5)
 
+    @settings(max_examples=200)
+    @given(texts)
+    @example("Natu-\nral natu-\r\nral NATURAL the The 1859 café's Café\x1ccafe\x1dCAFE ﬁnch")
+    def test_counted_words_equal_counted_token_list(self, text):
+        # build_corpus counts the words first and tests each distinct one once
+        stopwords = _stopwords(CFG_OPEN)
+        counts = {w: c for w, c in Counter(_words(text)).items() if _is_token(w, stopwords)}
+        assert counts == Counter(tokenize(text, CFG_OPEN))
+
 
 def _tiny_corpus(tmp_path, texts=None):
     texts = texts or {
@@ -213,7 +290,75 @@ class TestBuildCorpus:
         assert stats["vocabulary"] == len(vocab)
 
 
+class TestCountFirstCorpus:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        docs=st.lists(texts | st.just("natu-\rral natu-\r\nral\rorigin"), min_size=1, max_size=5),
+        min_count=st.integers(0, 3),
+        max_count=st.integers(3, 10**9),
+    )
+    def test_equals_token_list_reference(self, docs, min_count, max_count):
+        config = TokenizerConfig(min_count=min_count, max_count=max_count)
+        with tempfile.TemporaryDirectory() as tmp:
+            records = []
+            for i, text in enumerate(docs):
+                path = Path(tmp) / f"{i}.txt"
+                path.write_text(text, encoding="utf-8")
+                records.append(VolumeRecord(
+                    id=f"v{i}", title="", read_date=date(1850, 1, 1), read_seq=i, pub_year=1849,
+                    text_path=path.name, text_file=path,
+                ))
+            # the texts as read back, line ends translated
+            read_back = [r.text_file.read_text(encoding="utf-8") for r in records]
+            tokens, freqs, indptr, indices, counts = reference_build_corpus(read_back, config)
+            if any(b == a for a, b in zip(indptr, indptr[1:])):
+                with pytest.raises(InputError, match="no tokens remain"):
+                    build_corpus(records, config)
+                return
+            vocab, matrix = build_corpus(records, config)
+        assert vocab.tokens == tokens and vocab.frequencies == freqs
+        assert matrix.indptr.tolist() == indptr
+        assert matrix.indices.tolist() == indices
+        assert matrix.counts.tolist() == counts
+
+
+@st.composite
+def cached_corpora(draw):
+    """Records, vocabulary and counts of a small corpus, with text that
+    needs escaping in JSON."""
+    name = st.text(max_size=8)
+    n_docs = draw(st.integers(1, 5))
+    tokens = sorted(draw(st.sets(name.filter(bool), min_size=1, max_size=8)))
+    records = [
+        VolumeRecord(
+            id=draw(name), title=draw(name), read_date=date(1850, 1 + i, 1), read_seq=i,
+            pub_year=draw(st.integers(1800, 1850)), text_path=draw(name),
+        )
+        for i in range(n_docs)
+    ]
+    rows = [
+        sorted(draw(st.sets(st.integers(0, len(tokens) - 1), max_size=len(tokens))))
+        for _ in range(n_docs)
+    ]
+    indices = [i for row in rows for i in row]
+    counts = [draw(st.integers(1, 10**12)) for _ in indices]
+    matrix = CorpusMatrix(np.cumsum([0] + [len(r) for r in rows]), indices, counts, len(tokens))
+    freqs = [draw(st.integers(1, 10**6)) for _ in tokens]
+    return records, Vocabulary(tokens=tuple(tokens), frequencies=tuple(freqs)), matrix
+
+
 class TestCache:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus=cached_corpora())
+    def test_save_cache_encodes_once_same_bytes_and_fingerprint(self, corpus):
+        records, vocab, matrix = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.json"
+            fingerprint = save_cache(path, records, vocab, matrix)
+            assert path.read_bytes() == reference_cache_bytes(records, vocab, matrix)
+            _, v2, m2 = load_cache(path)
+        assert fingerprint == corpus_fingerprint(v2, m2) == corpus_fingerprint(vocab, matrix)
+
     def test_roundtrip_and_stable_bytes(self, tmp_path):
         records = _tiny_corpus(tmp_path)
         vocab, matrix = build_corpus(records, CFG_OPEN)

@@ -19,6 +19,7 @@ from readpath.epochs import (
     evidence_prior,
     fit,
     log_evidence,
+    placement_log_counts,
     segment_loglik,
     select_n,
     select_n_with_landscape,
@@ -235,6 +236,32 @@ class TestLogEvidence:
             assert row["log_evidence"] == e
             assert row["relative_likelihood"] == pytest.approx(math.exp(e - ev.max()))
             assert row["aic"] == fit(x, row["n"], cfg).aic
+
+
+class TestSharedPlacementCount:
+    def test_placement_count_matches_combinatorics(self):
+        # 14 positions, segments of at least 3: C(14 - 3n + n - 1, n - 1) placements
+        got = placement_log_counts(14, IDX(n_max=4, min_length=3))
+        expected = [math.log(math.comb(14 - 3 * n + n - 1, n - 1)) for n in (1, 2, 3, 4)]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("calendar", [False, True])
+    def test_passed_count_gives_the_same_selection(self, rng, calendar):
+        # two series of one length and dates (T2T and T2P of a run) share the count
+        length = 120
+        dates = [date(1830, 1, 1) + timedelta(days=45 * i) for i in range(length)]
+        cfg = EpochSearchConfig(n_max=3, min_years=2.0) if calendar else IDX(n_max=3, min_length=9)
+        shared = placement_log_counts(length, cfg, dates)
+        for x in (rng.normal(0, 1, length), np.r_[rng.normal(0, 1, 60), rng.normal(2, 1, 60)]):
+            best, table, landscape = select_n_with_landscape(x, cfg, dates, log_placements=shared)
+            best0, table0, landscape0 = select_n_with_landscape(x, cfg, dates)
+            assert best == best0 and table == table0
+            np.testing.assert_array_equal(landscape, landscape0)
+            np.testing.assert_array_equal([row["log_evidence"] for row in table], log_evidence(x, cfg, dates))
+
+    def test_count_for_other_n_max_rejected(self, rng):
+        with pytest.raises(ValueError, match="placement count"):
+            select_n_with_landscape(rng.normal(0, 1, 30), IDX(n_max=3), log_placements=np.zeros(2))
 
 
 class TestBreakToDate:
