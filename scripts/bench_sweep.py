@@ -58,20 +58,14 @@ def repeat_fraction(corpus: CorpusMatrix) -> float:
 def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> float:
     """Replays ``train``'s chain and returns, among repeated tokens of the
     last sweep, the share whose previous token drew the topic it gives back."""
-    doc_of, word_of = corpus.token_streams()
+    doc_of, word_of = topics._token_streams(corpus)
     k, alpha = params.k, params.resolved_alpha
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    z = rng.integers(0, k, doc_of.size, dtype=np.int64)
-    n_dk = np.zeros((corpus.n_docs, k), dtype=np.int64)
-    n_kv = np.zeros((corpus.n_vocab, k), dtype=np.int64)
-    np.add.at(n_dk, (doc_of, z), 1)
-    np.add.at(n_kv, (word_of, z), 1)
-    n_k = np.bincount(z, minlength=k).astype(np.int64)
+    z, n_dk, n_kv, n_k = topics._init_chain(rng, doc_of, word_of, k, corpus.n_docs, corpus.n_vocab)
     cum, term = np.empty(k), np.empty(k)
     for _ in range(params.iterations):
         before = z.copy()
-        topics._run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, params.beta,
-                          rng.random(doc_of.size), cum, term)
+        topics._sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, params.beta, cum, term)
     repeat = (doc_of[1:] == doc_of[:-1]) & (word_of[1:] == word_of[:-1])
     return float((z[:-1] == before[1:])[repeat].mean())
 

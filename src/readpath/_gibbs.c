@@ -2,9 +2,11 @@
  *
  * Same draws, bit for bit, as the pure-Python _gibbs_sweep in topics.py,
  * which recomputes every term and scans linearly: build with
- * -ffp-contract=off so no multiply-add is fused. Count arrays are
- * row-major int64: n_dk is D x k, n_kv is V x k (word-major, so the k
- * counts of one word are contiguous).
+ * -ffp-contract=off so no multiply-add is fused. The token streams, z and
+ * the count arrays are int32 (the caller rejects a corpus of 2^31 or more
+ * tokens); row offsets are int64. Count arrays are row-major: n_dk is
+ * D x k, n_kv is V x k (word-major, so the k counts of one word are
+ * contiguous). The caller may pass the tokens in chunks, one call each.
  *
  * Reuse. Token t is a repeat when t > 0 and it has the same (document,
  * word) pair as token t-1. The counts it sees then differ from those token
@@ -15,7 +17,8 @@
  * from lo = min(prev, old), starting at cum[lo - 1] (0.0 when lo == 0).
  * Each kept term came from the same integers through the same operations,
  * and the kept prefix is the same fold, so every cum[j] has the bits of a
- * full recomputation. Token 0 of each call is never a repeat.
+ * full recomputation. Token 0 of each call is never a repeat, so a chunk
+ * boundary costs one full pass and changes no bit.
  *
  * Search. Every term is > 0, so cum never falls: the first j < k-1 with
  * cum[j] >= r, found by binary search, is the topic the linear scan finds,
@@ -24,15 +27,15 @@
 #include <stdint.h>
 
 void gibbs_sweep(int64_t n_tokens, int64_t k, int64_t v,
-                 const int64_t *doc_of, const int64_t *word_of, int64_t *z,
-                 int64_t *n_dk, int64_t *n_kv, int64_t *n_k,
+                 const int32_t *doc_of, const int32_t *word_of, int32_t *z,
+                 int32_t *n_dk, int32_t *n_kv, int32_t *n_k,
                  double alpha, double beta, const double *u, double *cum,
                  double *term)
 {
     const double vbeta = (double)v * beta;
     for (int64_t t = 0; t < n_tokens; t++) {
-        int64_t *dk = n_dk + doc_of[t] * k;
-        int64_t *kv = n_kv + word_of[t] * k;
+        int32_t *dk = n_dk + (int64_t)doc_of[t] * k;
+        int32_t *kv = n_kv + (int64_t)word_of[t] * k;
         const int64_t old = z[t];
         dk[old]--;
         kv[old]--;
@@ -69,7 +72,7 @@ void gibbs_sweep(int64_t n_tokens, int64_t k, int64_t v,
             else
                 b = m;
         }
-        z[t] = a;
+        z[t] = (int32_t)a;
         dk[a]++;
         kv[a]++;
         n_k[a]++;

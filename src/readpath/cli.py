@@ -253,8 +253,7 @@ def cmd_greedy(cfg: RunConfig) -> None:
         _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
-def _step_ranks(kdir: Path, matrix, perms) -> paths_mod.RankDistribution:
-    rd = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
+def _write_ranks(kdir: Path, rd: paths_mod.RankDistribution) -> paths_mod.RankDistribution:
     paths_mod.write_rank_csv(kdir / "ranks.csv", rd)
     paths_mod.write_rank_json(kdir / "ranks.json", rd)
     return rd
@@ -265,7 +264,7 @@ def cmd_ranks(cfg: RunConfig) -> None:
     perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
         matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records, fingerprint).theta)
-        _step_ranks(_kdir(cfg, k), matrix, perms)
+        _write_ranks(_kdir(cfg, k), paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms))
 
 
 def _series_dates(records) -> list:
@@ -399,8 +398,11 @@ def cmd_run(cfg: RunConfig) -> None:
             matrix = paths_mod.divergence_matrix(model.theta)
             greedy = _step_greedy(kdir, model, records, cfg, matrix)
         with _timed(stage_s, "ranks"):
-            ranks = _step_ranks(kdir, matrix, perms)
-        del matrix  # free the D x D divergence matrix before the epoch fit
+            counts = paths_mod.rank_counts(matrix, np.arange(len(matrix)), perms)
+            # Free the D x D divergence matrix before the bands load scipy
+            # and before the epoch fit: neither needs it.
+            del matrix
+            ranks = _write_ranks(kdir, paths_mod.rank_bands(counts))
         with _timed(stage_s, "epochs"):
             # First needed here, after the matrix is freed: the count pass's
             # temporaries would otherwise stay resident under its peak.
@@ -533,7 +535,7 @@ def cmd_report(bundle: Path) -> None:
         raise InputError(f"malformed bundle file {manifest_path}: no list of file names")
     for name in files:
         if not (bundle / name).exists():
-            raise InputError(f"bundle is missing a declared artifact: {name}")
+            raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
     _check_bundle_fingerprints(bundle, files)
     summary_path = bundle / "summary.json"
     summary = _load_bundle_json(summary_path)

@@ -4,6 +4,7 @@ plus dotted-name command-line overrides (e.g. ``--topics.k 40``)."""
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +86,15 @@ class RunConfig:
             raise InputError("run.threads must be >= 1")
         if self.seed < 0:
             raise InputError("run.seed must be nonnegative")
+        # Each stage's config checks its own ranges; a value it rejects is bad input.
+        try:
+            self.tokenizer_config()
+            self.null_config()
+            self.epoch_config()
+            for k in self.k_list:
+                dataclasses.replace(self.topic_params(), k=k)
+        except ValueError as exc:
+            raise InputError(f"bad configuration: {exc}") from exc
 
 
 def _parse_int(s: str) -> int:
@@ -160,7 +170,8 @@ def _assign(cfg: RunConfig, section: str, key: str, raw: str, base: Path) -> Non
 
 def load_run_config(path: Path | str | None) -> RunConfig:
     """Parse the INI config; relative paths resolve against the file's
-    directory. A missing path yields pure defaults."""
+    directory. A missing path yields pure defaults. An error in the file,
+    its values included, is an InputError naming it."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -172,11 +183,15 @@ def load_run_config(path: Path | str | None) -> RunConfig:
         parser.read_string(read_text(path), source=str(path))
     except configparser.Error as exc:
         raise InputError(f"cannot parse config {path}: {exc}") from exc
-    if parser.has_option("topics", "k") and parser.has_option("topics", "k_list"):
-        raise InputError("config sets both topics.k and topics.k_list; pick one")
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            _assign(cfg, section, key, raw, path.parent.resolve())
+    try:
+        if parser.has_option("topics", "k") and parser.has_option("topics", "k_list"):
+            raise InputError("sets both topics.k and topics.k_list; pick one")
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                _assign(cfg, section, key, raw, path.parent.resolve())
+        cfg.validate()
+    except InputError as exc:
+        raise InputError(f"config {path}: {exc}") from exc
     return cfg
 
 

@@ -140,11 +140,14 @@ class CorpusMatrix:
         return self.indices[lo:hi], self.counts[lo:hi]
 
     def token_streams(self) -> tuple[np.ndarray, np.ndarray]:
-        """Expand counts into parallel (document, vocab index) arrays with
-        one entry per token occurrence, in document order."""
-        doc_of = np.repeat(np.arange(self.n_docs, dtype=np.int64), np.diff(self.indptr))
+        """Expand counts into parallel, read-only int32 (document, vocab
+        index) arrays with one entry per token occurrence, in document
+        order. Built as int32 from the start; the caller keeps the token
+        count below 2**31."""
+        doc_of = np.repeat(np.arange(self.n_docs, dtype=np.int32), np.diff(self.indptr))
         doc_of = np.repeat(doc_of, self.counts)
-        word_of = np.repeat(self.indices, self.counts)
+        word_of = np.repeat(self.indices.astype(np.int32), self.counts)
+        doc_of.flags.writeable = word_of.flags.writeable = False
         return doc_of, word_of
 
 
@@ -177,7 +180,7 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
     (the manifest's row order is the tie order). ``read_seq`` is the 0-based
     position after sorting. A record is rejected when its id repeats, its
     date does not parse, its publication year postdates the reading year,
-    or its text file is missing.
+    or its text file is missing; each rejection names the manifest.
     """
     path = Path(path)
     if not path.exists():
@@ -187,13 +190,13 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
         raise InputError(
-            f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {header}"
+            f"manifest {path}: header must be {','.join(MANIFEST_COLUMNS)}, got {header}"
         )
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(MANIFEST_COLUMNS):
-            raise InputError(f"manifest line {lineno}: expected {len(MANIFEST_COLUMNS)} fields")
+            raise InputError(f"manifest {path} line {lineno}: expected {len(MANIFEST_COLUMNS)} fields")
         rows.append((lineno, [c.strip() for c in row]))
 
     # Resolved once: a realpath per row would be half of this function's
@@ -205,23 +208,25 @@ def load_manifest(path: Path | str) -> list[VolumeRecord]:
     seen_ids = set()
     for lineno, (rid, title, read_date_s, pub_year_s, text_path_s) in rows:
         if rid in seen_ids:
-            raise InputError(f"duplicate record id {rid!r} (manifest line {lineno})")
+            raise InputError(f"manifest {path} line {lineno}: duplicate record id {rid!r}")
         seen_ids.add(rid)
         try:
             read_date = date.fromisoformat(read_date_s)
         except ValueError as exc:
-            raise InputError(f"record {rid!r}: unparsable read_date {read_date_s!r}") from exc
+            raise InputError(
+                f"manifest {path}: record {rid!r}: unparsable read_date {read_date_s!r}"
+            ) from exc
         try:
             pub_year = int(pub_year_s)
         except ValueError as exc:
-            raise InputError(f"record {rid!r}: unparsable pub_year {pub_year_s!r}") from exc
+            raise InputError(f"manifest {path}: record {rid!r}: unparsable pub_year {pub_year_s!r}") from exc
         if pub_year > read_date.year:
             raise InputError(
-                f"record {rid!r}: pub_year {pub_year} is after reading year {read_date.year}"
+                f"manifest {path}: record {rid!r}: pub_year {pub_year} is after reading year {read_date.year}"
             )
         text_file = base / text_path_s
-        if not text_file.exists():
-            raise InputError(f"record {rid!r}: text file not found: {text_file}")
+        if not text_file.is_file():  # an empty cell names the manifest's directory
+            raise InputError(f"manifest {path}: record {rid!r}: text file not found: {text_file}")
         parsed.append((read_date, rid, title, pub_year, text_path_s, text_file))
 
     # Stable sort: ties on read_date keep manifest row order.
@@ -418,6 +423,10 @@ def save_cache(path: Path | str, records: list[VolumeRecord], vocab: Vocabulary,
 
 
 def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix]:
+    """Read a `save_cache` artifact. A payload that is not the cache's shape,
+    or records out of reading order (dates not nondecreasing, or a
+    ``read_seq`` other than the record's position), is an InputError naming
+    the file."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"corpus cache not found: {path}")
@@ -460,4 +469,15 @@ def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, Corpus
         raise InputError(
             f"malformed corpus cache {path}: {len(records)} records for {matrix.n_docs} documents"
         )
+    for i, rec in enumerate(records):
+        if rec.read_seq != i:
+            raise InputError(
+                f"malformed corpus cache {path}: record {rec.id!r} at position {i} "
+                f"has read_seq {rec.read_seq}"
+            )
+        if i and rec.read_date < records[i - 1].read_date:
+            raise InputError(
+                f"malformed corpus cache {path}: record {rec.id!r} read on {rec.read_date} after "
+                f"{records[i - 1].id!r} read on {records[i - 1].read_date}; records must be in reading order"
+            )
     return records, vocab, matrix

@@ -10,7 +10,9 @@ row (1 = nearest neighbor), excluding the self entry, with equal
 divergences sharing the minimum (competition) rank. It sorts each matrix
 row once and ranks every move of the observed and the M null orders by
 binary search in its row: O(D² log D + M·D log D) time and O(M·D) extra
-memory.
+memory. It is two steps: `rank_counts`, the only one that reads the
+matrix, and `rank_bands`, the Clopper-Pearson bands, the only one that
+loads scipy; `run` frees the D x D matrix between them.
 """
 
 from __future__ import annotations
@@ -146,10 +148,21 @@ def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return moves[orders[:, :-1], cols[:, None]]
 
 
-def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
-    """Log-binned rank histogram of the observed order against the null
-    ensemble's orders, with per-bin observed/null ratios and 95% bands.
-    Every move's rank comes from one sort per matrix row."""
+@dataclass(frozen=True)
+class RankCounts:
+    """The matrix-dependent half of a `RankDistribution`: the observed
+    ranks and the binned counts of the observed and null moves."""
+
+    observed_ranks: np.ndarray
+    bin_edges: np.ndarray
+    observed_counts: np.ndarray
+    null_counts: np.ndarray
+
+
+def rank_counts(matrix, observed_order, null_orders) -> RankCounts:
+    """Rank every move of the observed order and of the null ensemble's
+    orders within its matrix row, from one sort per row, and bin the ranks
+    by powers of 2. Nothing of the matrix stays referenced by the result."""
     m = np.asarray(matrix, dtype=np.float64)
     d = m.shape[0]
     if d < 2:
@@ -169,9 +182,17 @@ def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
     edges = 2.0 ** np.arange(n_bins + 1)
     obs_counts, _ = np.histogram(obs_ranks, bins=edges)
     null_counts, _ = np.histogram(null_ranks, bins=edges)
+    return RankCounts(
+        observed_ranks=obs_ranks, bin_edges=edges, observed_counts=obs_counts, null_counts=null_counts
+    )
 
-    n_obs = len(obs_ranks)
-    n_null = len(null_ranks)
+
+def rank_bands(counts: RankCounts) -> RankDistribution:
+    """Per-bin proportions, observed/null ratios and their 95% bands from
+    Clopper-Pearson bounds; the one step that loads scipy."""
+    obs_counts, null_counts = counts.observed_counts, counts.null_counts
+    n_obs = len(counts.observed_ranks)
+    n_null = int(null_counts.sum())  # every rank falls in a bin: M * (D - 1)
     obs_props = obs_counts / n_obs
     null_props = null_counts / n_null
 
@@ -182,8 +203,8 @@ def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
         ratio_low = np.where(null_props > 0, lo / null_props, np.nan)
         ratio_high = np.where(null_props > 0, hi / null_props, np.nan)
     return RankDistribution(
-        observed_ranks=obs_ranks,
-        bin_edges=edges,
+        observed_ranks=counts.observed_ranks,
+        bin_edges=counts.bin_edges,
         observed_counts=obs_counts,
         null_counts=null_counts,
         observed_props=obs_props,
@@ -192,6 +213,14 @@ def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
         ratio_low=ratio_low,
         ratio_high=ratio_high,
     )
+
+
+def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
+    """Log-binned rank histogram of the observed order against the null
+    ensemble's orders, with per-bin observed/null ratios and 95% bands:
+    `rank_bands` of `rank_counts`. A caller that can drop the matrix calls
+    the two itself and drops it in between."""
+    return rank_bands(rank_counts(matrix, observed_order, null_orders))
 
 
 def _beta_bound(count: int, n: int, q: float) -> float:

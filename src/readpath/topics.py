@@ -18,6 +18,13 @@ terms whose counts moved and binary-searches the running sum. Without a
 compiler the pure-Python sweep runs instead: it recomputes every term and
 scans linearly, with the same arithmetic, so it gives the same bytes, only
 far slower. It is also the test oracle for the C sweep.
+
+Memory per token is flat. The token streams are int32, built once per
+`sweep_k` and shared read-only by its chains; z and every count array are
+int32 too, so a corpus of 2**31 or more tokens is an InputError. The
+initial topics and each sweep's uniforms are drawn `_CHUNK` tokens at a
+time, the kernel is called once per chunk, and chunked draws are the same
+numbers as one whole draw: the chunk size changes no bit of a model.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ from .errors import InputError
 MODEL_FORMAT_VERSION = 1
 
 ROW_SUM_TOL = 1e-9
+
+# Tokens per draw of the initial topics, per draw of a sweep's uniforms and
+# per kernel call: beyond the shared streams and z, a chain's per-token
+# arrays are one chunk long, whatever the corpus size.
+_CHUNK = 1 << 18
 
 
 def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
@@ -127,10 +139,10 @@ def _load_kernel():
             RuntimeWarning,
         )
         return None
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.restype = None
-    fn.argtypes = [ctypes.c_int64] * 3 + [i64] * 6 + [ctypes.c_double] * 2 + [f64] * 3
+    fn.argtypes = [ctypes.c_int64] * 3 + [i32] * 6 + [ctypes.c_double] * 2 + [f64] * 3
     return fn
 
 
@@ -140,14 +152,58 @@ def sweep_kernel() -> str:
 
 
 def _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term):
-    """One sweep, compiled when possible. ``cum`` and ``term`` are work rows of
-    k doubles; only the compiled sweep uses ``term``."""
+    """One sweep over the given tokens, compiled when possible. ``cum`` and
+    ``term`` are work rows of k doubles; only the compiled sweep uses
+    ``term``."""
     fn = _load_kernel()
     if fn is None:
         _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
     else:
         v, k = n_kv.shape
         fn(z.shape[0], k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+
+
+def _token_streams(corpus: CorpusMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus's read-only int32 (document, word) streams, after checking
+    that its tokens fit the sampler's int32 layout."""
+    if corpus.total_tokens >= 2**31:
+        raise InputError(
+            f"corpus has {corpus.total_tokens} tokens; the Gibbs sampler holds fewer than 2**31"
+        )
+    return corpus.token_streams()
+
+
+def _init_chain(rng, doc_of, word_of, k: int, d: int, v: int):
+    """Initial topics z, drawn chunk by chunk, and the int32 counts
+    (n_dk, n_kv, n_k) they imply. Each chunk is drawn as int64, the dtype
+    of the one whole draw these chunks reproduce, and stored into z; its
+    counts are one `np.bincount` of the flat row * k + topic index."""
+    n_tokens = doc_of.shape[0]
+    z = np.empty(n_tokens, dtype=np.int32)
+    n_dk = np.zeros(d * k, dtype=np.int32)
+    n_kv = np.zeros(v * k, dtype=np.int32)  # word-major: one token's counts are contiguous
+    for start in range(0, n_tokens, _CHUNK):
+        drawn = rng.integers(0, k, min(_CHUNK, n_tokens - start), dtype=np.int64)
+        stop = start + drawn.shape[0]
+        z[start:stop] = drawn
+        for counts, rows in ((n_dk, doc_of), (n_kv, word_of)):
+            flat = rows[start:stop].astype(np.int64)
+            flat *= k
+            flat += drawn
+            counts += np.bincount(flat, minlength=counts.shape[0])
+    n_dk, n_kv = n_dk.reshape(d, k), n_kv.reshape(v, k)
+    return z, n_dk, n_kv, n_dk.sum(axis=0, dtype=np.int32)
+
+
+def _sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, cum, term) -> None:
+    """One sweep in token order: the uniforms are drawn and the kernel is
+    called one chunk at a time, the same draws as one uniform per token."""
+    n_tokens = z.shape[0]
+    for start in range(0, n_tokens, _CHUNK):
+        u = rng.random(min(_CHUNK, n_tokens - start))
+        stop = start + u.shape[0]
+        _run_sweep(doc_of[start:stop], word_of[start:stop], z[start:stop],
+                   n_dk, n_kv, n_k, alpha, beta, u, cum, term)
 
 
 @dataclass(frozen=True)
@@ -205,11 +261,15 @@ class TopicModel:
         return self.theta.shape[1]
 
 
-def train(corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "") -> TopicModel:
-    """Fit a model; deterministic for a fixed (corpus, params) pair."""
+def train(
+    corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "", streams=None
+) -> TopicModel:
+    """Fit a model; deterministic for a fixed (corpus, params) pair.
+    ``streams`` are the corpus's token streams when the caller shares one
+    copy between chains (`sweep_k`); by default `train` builds its own."""
     if corpus.n_docs == 0:
         raise InputError("cannot train on an empty corpus")
-    doc_of, word_of = corpus.token_streams()
+    doc_of, word_of = _token_streams(corpus) if streams is None else streams
     n_tokens = doc_of.shape[0]
     if params.k > n_tokens:
         raise InputError(f"k={params.k} exceeds the total token count {n_tokens}")
@@ -218,13 +278,8 @@ def train(corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "")
     alpha, beta = float(params.resolved_alpha), float(params.beta)
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    z = rng.integers(0, k, n_tokens, dtype=np.int64)
-    n_dk = np.zeros((d, k), dtype=np.int64)
-    n_kv = np.zeros((v, k), dtype=np.int64)  # word-major: one token's counts are contiguous
-    np.add.at(n_dk, (doc_of, z), 1)
-    np.add.at(n_kv, (word_of, z), 1)
-    n_k = np.bincount(z, minlength=k).astype(np.int64)
-    n_doc = np.bincount(doc_of, minlength=d).astype(np.int64)
+    z, n_dk, n_kv, n_k = _init_chain(rng, doc_of, word_of, k, d, v)
+    n_doc = n_dk.sum(axis=1)
     cum = np.empty(k, dtype=np.float64)
     term = np.empty(k, dtype=np.float64)
 
@@ -232,8 +287,7 @@ def train(corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "")
     phi_acc = np.zeros((k, v), dtype=np.float64)
     first_kept = params.iterations - params.average_last
     for sweep in range(params.iterations):
-        u = rng.random(n_tokens)
-        _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+        _sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, cum, term)
         if sweep >= first_kept:
             theta_acc += (n_dk + alpha) / (n_doc[:, None] + k * alpha)
             phi_acc += (n_kv.T + beta) / (n_k[:, None] + v * beta)
@@ -259,7 +313,8 @@ def sweep_k(
 ) -> list[TopicModel]:
     """Train one independent model per k; model i is seeded base seed + i.
 
-    Models are independent chains, so they may train concurrently. A
+    Models are independent chains, so they may train concurrently. They
+    share one read-only copy of the token streams, freed on return. A
     chain costs about k per token, so the pool starts the largest k first
     and the short chains fill in behind; the returned list always follows
     ``k_list`` order.
@@ -270,16 +325,17 @@ def sweep_k(
         dataclasses.replace(base_params, k=k_i, seed=base_params.seed + i)
         for i, k_i in enumerate(k_list)
     ]
+    streams = _token_streams(corpus)
     if threads > 1 and len(all_params) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                p: pool.submit(train, corpus, p, fingerprint)
+                p: pool.submit(train, corpus, p, fingerprint, streams)
                 for p in sorted(all_params, key=lambda p: p.k, reverse=True)
             }
             return [futures[p].result() for p in all_params]
-    return [train(corpus, p, fingerprint) for p in all_params]
+    return [train(corpus, p, fingerprint, streams) for p in all_params]
 
 
 def save_model(path: Path | str, model: TopicModel) -> None:

@@ -355,6 +355,43 @@ class TestArtifactChecks:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "corpus.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["read_date_out_of_order", "read_seq_mismatch"])
+    @pytest.mark.parametrize("command", ["null", "ranks", "puborder", "epochs"])
+    def test_corpus_cache_out_of_reading_order_exit_1_names_file(self, tmp_path, capsys, edit, command):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        cache = tmp_path / "out" / "corpus.json"
+        payload = json.loads(cache.read_bytes())
+        if edit == "read_date_out_of_order":
+            payload["records"][5]["read_date"] = "1900-01-01"
+        else:
+            payload["records"][5]["read_seq"] = 6
+        cache.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "v005" in err
+
+    @pytest.mark.parametrize(
+        "line,value", [("k = 2", "1"), ("iterations = 60", "0"), ("samples = 50", "0"), ("n_max = 2", "0")]
+    )
+    def test_config_value_a_stage_rejects_exit_1(self, tmp_path, capsys, line, value):
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        key = line.split(" = ")[0]
+        good = cfg.read_text(encoding="utf-8")
+        cfg.write_text(good.replace(line, f"{key} = {value}"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "run.cfg" in err and "Traceback" not in err
+        # the same value given as an override
+        cfg.write_text(good, encoding="utf-8")
+        section = {"k": "topics", "iterations": "topics", "samples": "null", "n_max": "epochs"}[key]
+        assert main(["train", "--config", str(cfg), f"--{section}.{key}", value]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(readpath.__file__).resolve().parents[1])
         entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -396,6 +433,60 @@ class TestImportCost:
             ]
         )
         assert _fresh_interpreter(code, str(cfg)) == 0
+
+
+# Run in a new interpreter by the test below: wraps the rank bands, the step
+# that loads scipy in `run`, and at its first call looks for a live D x D
+# array. ndarrays are not GC-tracked, so they are found as the referents of
+# the tracked objects and as the locals of every frame on the stack; a view
+# counts as its base.
+_BANDS_PROBE = """
+import gc, sys
+import numpy as np
+from readpath import paths
+from readpath.cli import main
+
+config, d = sys.argv[1], int(sys.argv[2])
+bands, seen = paths.rank_bands, []
+
+def live_square_arrays():
+    found = [o for o in gc.get_referents(*gc.get_objects()) if isinstance(o, np.ndarray)]
+    frame = sys._getframe()
+    while frame is not None:
+        found += [v for v in frame.f_locals.values() if isinstance(v, np.ndarray)]
+        frame = frame.f_back
+    roots = []
+    for a in found:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots.append(a)
+    return [a for a in roots if a.shape == (d, d)]
+
+def checked_bands(counts):
+    if not seen:
+        seen.append(True)
+        assert "scipy.special" not in sys.modules, "scipy.special loaded before the bands"
+        assert not live_square_arrays(), "a D x D array is alive at the bands"
+    return bands(counts)
+
+paths.rank_bands = checked_bands
+assert main(["run", "--config", config]) == 0
+assert seen, "run never computed the bands"
+"""
+
+
+class TestRanksAfterMatrix:
+    def test_run_frees_matrix_before_bands_load_scipy(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        assert _fresh_interpreter(_BANDS_PROBE, str(cfg), "12") == 0
+
+    def test_probe_sees_a_live_matrix(self, tmp_path):
+        """The probe itself: the staged `ranks` keeps its matrix alive
+        through `rank_distribution`, so the same check must fail there."""
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        probe = _BANDS_PROBE.replace('main(["run"', 'main(["ranks"')
+        assert _fresh_interpreter(probe, str(cfg), "12") == 1
 
 
 class TestReport:

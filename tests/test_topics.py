@@ -134,11 +134,11 @@ _LAST_U = float(np.nextafter(1.0, 0.0))
 
 
 def _sweep_case(k, pairs, z, us):
-    """(k, D, V, doc_of, word_of, z, [u per sweep]) with int64/float64 arrays."""
-    doc_of = np.array([d for d, _ in pairs], dtype=np.int64)
-    word_of = np.array([w for _, w in pairs], dtype=np.int64)
+    """(k, D, V, doc_of, word_of, z, [u per sweep]) with int32/float64 arrays."""
+    doc_of = np.array([d for d, _ in pairs], dtype=np.int32)
+    word_of = np.array([w for _, w in pairs], dtype=np.int32)
     return (k, int(doc_of.max()) + 1, int(word_of.max()) + 1, doc_of, word_of,
-            np.array(z, dtype=np.int64), [np.array(u, dtype=np.float64) for u in us])
+            np.array(z, dtype=np.int32), [np.array(u, dtype=np.float64) for u in us])
 
 
 @st.composite
@@ -183,11 +183,11 @@ class TestSweepReuse:
         assert sweep_kernel() == "c"
         k, n_docs, n_vocab, doc_of, word_of, z0, us = case
         z = z0.copy()
-        n_dk = np.zeros((n_docs, k), dtype=np.int64)
-        n_kv = np.zeros((n_vocab, k), dtype=np.int64)
+        n_dk = np.zeros((n_docs, k), dtype=np.int32)
+        n_kv = np.zeros((n_vocab, k), dtype=np.int32)
         np.add.at(n_dk, (doc_of, z), 1)
         np.add.at(n_kv, (word_of, z), 1)
-        n_k = np.bincount(z, minlength=k).astype(np.int64)
+        n_k = np.bincount(z, minlength=k).astype(np.int32)
         fast = [z, n_dk, n_kv, n_k]
         slow = [a.copy() for a in fast]
         alpha, beta = 50.0 / k, 0.01
@@ -196,6 +196,99 @@ class TestSweepReuse:
             topics._gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
+
+
+def _straddling_corpus() -> CorpusMatrix:
+    """Runs of one (document, word) pair of 1 to 17 tokens, so that with
+    7-token chunks many chunk boundaries fall inside a run."""
+    docs = [[w for w, n in enumerate(counts) for _ in range(n)]
+            for counts in ([9, 1, 17, 4], [3, 11, 2, 8, 1], [16, 5, 6], [1, 1, 13, 7, 9])]
+    return matrix_from_docs(docs, 5)
+
+
+class TestChunks:
+    """`train` draws z and u and calls the sweep one chunk of tokens at a
+    time; the chunk size must not change a bit."""
+
+    CASES = [
+        TopicModelParams(k=2, alpha=1.0, iterations=15, seed=1),
+        TopicModelParams(k=3, iterations=15, seed=2, average_last=8),
+        TopicModelParams(k=17, alpha=0.05, iterations=15, seed=4, average_last=15),
+    ]
+
+    def test_chunk_of_7_same_model_as_default_and_python_sweep(self, monkeypatch):
+        matrix = _straddling_corpus()
+        assert matrix.total_tokens < topics._CHUNK
+        doc_of, word_of = matrix.token_streams()
+        inside = [b for b in range(7, len(doc_of), 7)
+                  if doc_of[b] == doc_of[b - 1] and word_of[b] == word_of[b - 1]]
+        assert len(inside) >= 8  # boundaries that split a run of one pair
+        default = [train(matrix, p) for p in self.CASES]
+        monkeypatch.setattr(topics, "_CHUNK", 7)
+        variants = [[train(matrix, p) for p in self.CASES]]
+        monkeypatch.setattr(topics, "_load_kernel", lambda: None)
+        variants.append([train(matrix, p) for p in self.CASES])
+        for models in variants:
+            for p, a, b in zip(self.CASES, default, models):
+                assert np.array_equal(a.theta, b.theta), p
+                assert np.array_equal(a.phi, b.phi), p
+
+    @pytest.mark.parametrize("chunk", [7, 65536])
+    @pytest.mark.parametrize("k", [2, 3, 17, 80, 500])
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, k, chunk):
+        n, n_docs, n_vocab = 20_011, 50, 300
+        doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), n // n_docs + 1)[:n]
+        word_of = np.random.default_rng(k).integers(0, n_vocab, n).astype(np.int32)
+        one = np.random.Generator(np.random.PCG64(9))
+        z_ref = one.integers(0, k, n, dtype=np.int64)
+        u_ref = one.random(n)
+
+        monkeypatch.setattr(topics, "_CHUNK", chunk)
+        drawn_u = []
+        monkeypatch.setattr(topics, "_run_sweep", lambda *args: drawn_u.append(args[8].copy()))
+        chunked = np.random.Generator(np.random.PCG64(9))
+        z, n_dk, n_kv, n_k = topics._init_chain(chunked, doc_of, word_of, k, n_docs, n_vocab)
+        topics._sweep(chunked, doc_of, word_of, z, n_dk, n_kv, n_k, 1.0, 0.01, None, None)
+
+        assert np.array_equal(z, z_ref) and z.dtype == np.int32
+        assert np.array_equal(np.concatenate(drawn_u), u_ref)
+        assert {len(u) for u in drawn_u[:-1]} <= {chunk}
+        assert chunked.bit_generator.state == one.bit_generator.state
+        ref_dk = np.zeros((n_docs, k), dtype=np.int64)
+        ref_kv = np.zeros((n_vocab, k), dtype=np.int64)
+        np.add.at(ref_dk, (doc_of, z_ref), 1)
+        np.add.at(ref_kv, (word_of, z_ref), 1)
+        for got, ref in ((n_dk, ref_dk), (n_kv, ref_kv), (n_k, np.bincount(z_ref, minlength=k))):
+            assert got.dtype == np.int32 and got.flags.c_contiguous
+            assert np.array_equal(got, ref)
+
+    def test_corpus_of_2_31_tokens_rejected_before_any_stream(self, monkeypatch):
+        huge = CorpusMatrix(np.array([0, 1]), np.array([0]), np.array([2**31]), n_vocab=1)
+
+        def no_streams(self):
+            raise AssertionError("token streams built for a corpus over the int32 limit")
+
+        monkeypatch.setattr(CorpusMatrix, "token_streams", no_streams)
+        with pytest.raises(InputError, match="2\\*\\*31"):
+            train(huge, PARAMS)
+        with pytest.raises(InputError, match="2\\*\\*31"):
+            sweep_k(huge, [2, 3], PARAMS, threads=2)
+
+    def test_sweep_k_builds_read_only_streams_once(self, rng, monkeypatch):
+        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
+        built = []
+        token_streams = CorpusMatrix.token_streams
+
+        def counted(self):
+            streams = token_streams(self)
+            built.append(streams)
+            return streams
+
+        monkeypatch.setattr(CorpusMatrix, "token_streams", counted)
+        sweep_k(matrix, [2, 3, 4], PARAMS, threads=2)
+        assert len(built) == 1
+        for a in built[0]:
+            assert a.dtype == np.int32 and not a.flags.writeable
 
 
 class TestThetaRow:
@@ -245,11 +338,11 @@ class TestSweepK:
         started = []
         first_two = threading.Barrier(2, timeout=30)
 
-        def recording_train(corpus, params, fingerprint=""):
+        def recording_train(corpus, params, fingerprint="", streams=None):
             started.append(params.k)
             if len(started) <= 2:  # neither worker finishes before both have begun
                 first_two.wait()
-            return train(corpus, params, fingerprint)
+            return train(corpus, params, fingerprint, streams)
 
         monkeypatch.setattr(topics, "train", recording_train)
         threaded = sweep_k(matrix, [3, 2, 4], PARAMS, threads=2)
