@@ -1,7 +1,8 @@
 /* One collapsed-Gibbs sweep over every token, in token order.
  *
- * Same draws, bit for bit, as the pure-Python _gibbs_sweep in topics.py,
- * which recomputes every term and scans linearly: build with
+ * Same draws, bit for bit, as the reference _gibbs_sweep in
+ * tests/test_topics.py, which recomputes every term and scans linearly and
+ * is the test oracle for this sweep: build with
  * -ffp-contract=off so no multiply-add is fused. The token streams, z and
  * the count arrays are int32 (the caller rejects a corpus of 2^31 or more
  * tokens); row offsets are int64. Count arrays are row-major: n_dk is

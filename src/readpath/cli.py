@@ -592,6 +592,9 @@ def _split_overrides(rest: list[str]) -> list[tuple[str, str]]:
 
 
 def _config_from_args(args, overrides: list[tuple[str, str]]) -> RunConfig:
+    given = {dotted for dotted, _ in overrides}
+    if "topics.k_list" in given and (args.k is not None or "topics.k" in given):
+        raise InputError("the command line sets both topics.k (or --k) and topics.k_list; pick one")
     cfg = load_run_config(args.config)
     if args.out is not None:
         cfg.out = args.out

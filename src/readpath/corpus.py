@@ -134,11 +134,6 @@ class CorpusMatrix:
     def total_tokens(self) -> int:
         return int(self.counts.sum())
 
-    def doc(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(vocab indices, counts) of document ``i``."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.counts[lo:hi]
-
     def token_streams(self) -> tuple[np.ndarray, np.ndarray]:
         """Expand counts into parallel, read-only int32 (document, vocab
         index) arrays with one entry per token occurrence, in document
@@ -260,21 +255,14 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     drop stopwords. Deterministic; empty output is allowed.
     """
     stopwords = _stopwords(config)
-    out = []
-    for raw in _ascii_text(text).split():
-        if not raw.isalpha():
-            continue
-        tok = raw.lower()
-        if tok in stopwords:
-            continue
-        out.append(tok)
-    return out
+    return [word for word in _words(text) if _is_token(word, stopwords)]
 
 
 def _words(text: str) -> list[str]:
     """Every whitespace-separated word of the ASCII text, lowercased.
     Lowercasing the ASCII text whole changes no split and no letter test,
-    so `tokenize` keeps exactly the words that `_is_token` keeps."""
+    so lowercasing before the letter test keeps the words that `tokenize`'s
+    documented order keeps."""
     return _ascii_text(text).lower().split()
 
 

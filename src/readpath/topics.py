@@ -14,10 +14,11 @@ system C compiler on first use, cached per user and called through
 ctypes, which releases the GIL so chains for different k train in
 parallel. Tokens come grouped by (document, word), and for a token with
 the same pair as the one before, the C sweep recomputes only the two
-terms whose counts moved and binary-searches the running sum. Without a
-compiler the pure-Python sweep runs instead: it recomputes every term and
-scans linearly, with the same arithmetic, so it gives the same bytes, only
-far slower. It is also the test oracle for the C sweep.
+terms whose counts moved and binary-searches the running sum. It is the
+only sweep `train` runs: without a C compiler (`cc`) and without a cached
+build, `train` is an InputError. The reference sweep, which recomputes
+every term and scans linearly with the same arithmetic, lives in
+``tests/test_topics.py`` as the test oracle.
 
 Memory per token is flat. The token streams are int32, built once per
 `sweep_k` and shared read-only by its chains; z and every count array are
@@ -36,11 +37,9 @@ import hashlib
 import json
 import os
 import platform
-import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,31 +56,6 @@ ROW_SUM_TOL = 1e-9
 # per kernel call: beyond the shared streams and z, a chain's per-token
 # arrays are one chunk long, whatever the corpus size.
 _CHUNK = 1 << 18
-
-
-def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
-    n_tokens = z.shape[0]
-    v, k = n_kv.shape
-    vbeta = v * beta
-    for t in range(n_tokens):
-        d = doc_of[t]
-        w = word_of[t]
-        old = z[t]
-        n_dk[d, old] -= 1
-        n_kv[w, old] -= 1
-        n_k[old] -= 1
-        total = 0.0
-        for j in range(k):
-            total += (n_dk[d, j] + alpha) * (n_kv[w, j] + beta) / (n_k[j] + vbeta)
-            cum[j] = total
-        r = u[t] * total
-        new = 0
-        while cum[new] < r:
-            new += 1
-        z[t] = new
-        n_dk[d, new] += 1
-        n_kv[w, new] += 1
-        n_k[new] += 1
 
 
 _C_SOURCE = Path(__file__).with_name("_gibbs.c")
@@ -123,22 +97,16 @@ def _build_kernel() -> Path:
 
 @functools.lru_cache(maxsize=None)
 def _load_kernel():
-    """The compiled sweep as a ctypes function, or None (with a warning)
-    when it cannot be built or loaded."""
-    if shutil.which("cc") is None:
-        warnings.warn(
-            "no C compiler (cc) found; the Gibbs sweep runs in pure Python", RuntimeWarning
-        )
-        return None
+    """The compiled sweep as a ctypes function. A kernel that cannot be
+    built or loaded is an InputError: `train` needs a C compiler (`cc`)
+    unless the cache already holds the library."""
     try:
         fn = ctypes.CDLL(str(_build_kernel())).gibbs_sweep
     except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or exc
-        warnings.warn(
-            f"could not build the C Gibbs sweep ({detail}); running it in pure Python",
-            RuntimeWarning,
-        )
-        return None
+        detail = " ".join(str(getattr(exc, "stderr", "") or exc).split())
+        raise InputError(
+            f"the Gibbs sweep needs a C compiler (cc) to build {_C_SOURCE.name}: {detail}"
+        ) from exc
     i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.restype = None
@@ -147,20 +115,10 @@ def _load_kernel():
 
 
 def sweep_kernel() -> str:
-    """Which Gibbs sweep `train` uses: "c" or "python"."""
-    return "c" if _load_kernel() is not None else "python"
-
-
-def _run_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term):
-    """One sweep over the given tokens, compiled when possible. ``cum`` and
-    ``term`` are work rows of k doubles; only the compiled sweep uses
-    ``term``."""
-    fn = _load_kernel()
-    if fn is None:
-        _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
-    else:
-        v, k = n_kv.shape
-        fn(z.shape[0], k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+    """Which Gibbs sweep `train` uses: always "c", built and loaded here
+    (an InputError when it cannot be)."""
+    _load_kernel()
+    return "c"
 
 
 def _token_streams(corpus: CorpusMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +156,14 @@ def _init_chain(rng, doc_of, word_of, k: int, d: int, v: int):
 def _sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, cum, term) -> None:
     """One sweep in token order: the uniforms are drawn and the kernel is
     called one chunk at a time, the same draws as one uniform per token."""
+    kernel = _load_kernel()
     n_tokens = z.shape[0]
+    v, k = n_kv.shape
     for start in range(0, n_tokens, _CHUNK):
         u = rng.random(min(_CHUNK, n_tokens - start))
         stop = start + u.shape[0]
-        _run_sweep(doc_of[start:stop], word_of[start:stop], z[start:stop],
-                   n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+        kernel(u.shape[0], k, v, doc_of[start:stop], word_of[start:stop], z[start:stop],
+               n_dk, n_kv, n_k, alpha, beta, u, cum, term)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from readpath import topics
 from readpath.corpus import VolumeRecord
 
 
@@ -101,3 +102,22 @@ def build_demo(tmp_path: Path, docs: int = 12, tokens: int = 150, seed: int = 3)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """A private, empty cache for the compiled sweep. The loaded kernel is
+    forgotten before and after the test, so what the test builds or hides
+    is seen by no other test."""
+    cache = tmp_path / "kernel-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    topics._load_kernel.cache_clear()
+    yield cache
+    topics._load_kernel.cache_clear()
+
+
+def hide_cc(tmp_path: Path, monkeypatch) -> None:
+    """Make `cc` unfindable: PATH is one empty directory."""
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))

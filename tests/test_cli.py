@@ -12,7 +12,7 @@ import readpath
 from readpath import epochs, nullmodel, paths, surprise, topics
 from readpath.cli import main
 
-from conftest import build_demo
+from conftest import build_demo, hide_cc
 
 DEMO_SAMPLES = 50  # [null] samples in the build_demo config
 
@@ -99,6 +99,13 @@ class TestRun:
         assert (tmp_path / "out" / "k3").exists()
         assert not (tmp_path / "out" / "k2").exists()
 
+    @pytest.mark.parametrize("k_flag", [["--topics.k", "3"], ["--topics.k=3"], ["--k", "3"]])
+    def test_k_and_k_list_on_command_line_exit_1(self, tmp_path, capsys, k_flag):
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg), *k_flag, "--topics.k_list", "4,5"]) == 1
+        assert "pick one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_override_rejected(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg), "--topics.nope", "1"]) == 1
@@ -108,6 +115,25 @@ class TestRun:
         cfg = build_demo(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 1
         assert "corpus cache" in capsys.readouterr().err
+
+
+class TestWithoutCompiler:
+    """Only `train` and `run` load the compiled sweep; without `cc` and
+    without a cached build they exit 1, and every other stage still runs."""
+
+    def test_train_and_run_exit_1_other_stages_exit_0(self, tmp_path, monkeypatch, capsys, kernel_cache):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        hide_cc(tmp_path, monkeypatch)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
+        topics._load_kernel.cache_clear()
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "C compiler (cc)" in err[0]
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rerun")]) == 1
+        for command in ("ingest", "surprise", "null", "puborder", "greedy", "ranks", "epochs"):
+            assert main([command, "--config", str(cfg)]) == 0, command
 
 
 class TestStagedPipeline:

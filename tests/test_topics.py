@@ -1,4 +1,3 @@
-import shutil
 import threading
 from collections import Counter
 
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readpath import topics
+from conftest import hide_cc
 from readpath.corpus import CorpusMatrix
 from readpath.errors import InputError
 from readpath.topics import (
@@ -51,6 +51,39 @@ def planted_two_topic_corpus(rng, n_docs=40, tokens_per_doc=120, words_per_topic
 
 
 PARAMS = TopicModelParams(k=2, alpha=1.0, beta=0.01, iterations=80, seed=11)
+
+
+def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
+    """The reference sweep: every term recomputed for every token and the
+    draw found by a linear scan, with the compiled sweep's arithmetic."""
+    n_tokens = z.shape[0]
+    v, k = n_kv.shape
+    vbeta = v * beta
+    for t in range(n_tokens):
+        d = doc_of[t]
+        w = word_of[t]
+        old = z[t]
+        n_dk[d, old] -= 1
+        n_kv[w, old] -= 1
+        n_k[old] -= 1
+        total = 0.0
+        for j in range(k):
+            total += (n_dk[d, j] + alpha) * (n_kv[w, j] + beta) / (n_k[j] + vbeta)
+            cum[j] = total
+        r = u[t] * total
+        new = 0
+        while cum[new] < r:
+            new += 1
+        z[t] = new
+        n_dk[d, new] += 1
+        n_kv[w, new] += 1
+        n_k[new] += 1
+
+
+def _python_kernel(n_tokens, k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term):
+    """`_gibbs_sweep` behind the compiled kernel's ctypes signature, so a
+    test swaps it in with `monkeypatch.setattr(topics, "_load_kernel", ...)`."""
+    _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
 
 
 class TestTrain:
@@ -109,9 +142,14 @@ class TestTrain:
             TopicModelParams(iterations=0)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) to build the sweep")
 class TestCompiledSweep:
     def test_compiled_kernel_in_use(self):
+        assert sweep_kernel() == "c"
+
+    def test_cached_kernel_loads_without_cc(self, tmp_path, monkeypatch, kernel_cache):
+        assert sweep_kernel() == "c"  # built into the empty cache
+        hide_cc(tmp_path, monkeypatch)
+        topics._load_kernel.cache_clear()
         assert sweep_kernel() == "c"
 
     def test_bitwise_equal_to_python_sweep(self, rng, monkeypatch):
@@ -123,7 +161,7 @@ class TestCompiledSweep:
             TopicModelParams(k=17, alpha=0.05, iterations=20, seed=4, average_last=20),
         ]
         compiled = [train(matrix, p) for p in cases]
-        monkeypatch.setattr(topics, "_load_kernel", lambda: None)
+        monkeypatch.setattr(topics, "_load_kernel", lambda: _python_kernel)
         for p, fast in zip(cases, compiled):
             slow = train(matrix, p)
             assert np.array_equal(fast.theta, slow.theta), p
@@ -159,7 +197,6 @@ def sweep_cases(draw):
     return _sweep_case(k, pairs, z, us)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) to build the sweep")
 class TestSweepReuse:
     """The compiled sweep reuses its terms across a run of one (document,
     word) pair and binary-searches the draw; the pure-Python sweep
@@ -181,6 +218,7 @@ class TestSweepReuse:
     @example(case=_sweep_case(2, [(0, 0)] * 3, [0, 0, 1], [[0.5, 0.5, 0.5]]))
     def test_same_state_as_python_sweep(self, case):
         assert sweep_kernel() == "c"
+        kernel = topics._load_kernel()
         k, n_docs, n_vocab, doc_of, word_of, z0, us = case
         z = z0.copy()
         n_dk = np.zeros((n_docs, k), dtype=np.int32)
@@ -192,8 +230,8 @@ class TestSweepReuse:
         slow = [a.copy() for a in fast]
         alpha, beta = 50.0 / k, 0.01
         for u in us:
-            topics._run_sweep(doc_of, word_of, *fast, alpha, beta, u, np.empty(k), np.empty(k))
-            topics._gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
+            kernel(len(z), k, n_vocab, doc_of, word_of, *fast, alpha, beta, u, np.empty(k), np.empty(k))
+            _gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
 
@@ -226,7 +264,7 @@ class TestChunks:
         default = [train(matrix, p) for p in self.CASES]
         monkeypatch.setattr(topics, "_CHUNK", 7)
         variants = [[train(matrix, p) for p in self.CASES]]
-        monkeypatch.setattr(topics, "_load_kernel", lambda: None)
+        monkeypatch.setattr(topics, "_load_kernel", lambda: _python_kernel)
         variants.append([train(matrix, p) for p in self.CASES])
         for models in variants:
             for p, a, b in zip(self.CASES, default, models):
@@ -245,7 +283,8 @@ class TestChunks:
 
         monkeypatch.setattr(topics, "_CHUNK", chunk)
         drawn_u = []
-        monkeypatch.setattr(topics, "_run_sweep", lambda *args: drawn_u.append(args[8].copy()))
+        monkeypatch.setattr(topics, "_load_kernel",
+                            lambda: lambda *args: drawn_u.append(args[11].copy()))
         chunked = np.random.Generator(np.random.PCG64(9))
         z, n_dk, n_kv, n_k = topics._init_chain(chunked, doc_of, word_of, k, n_docs, n_vocab)
         topics._sweep(chunked, doc_of, word_of, z, n_dk, n_kv, n_k, 1.0, 0.01, None, None)
