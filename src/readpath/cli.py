@@ -4,19 +4,21 @@ Subcommands cover each pipeline stage (ingest, train, surprise, null,
 puborder, greedy, ranks, epochs) plus `run` for the whole chain and
 `report` to pretty-print a result bundle. Every value in the config file
 can be overridden with a flag of the same dotted name, e.g.
-``--topics.k 40`` or ``--null.samples=200``.
+``--topics.k 40`` or ``--null.samples=200``; the common flags ``--out``,
+``--seed``, ``--k``, ``--samples`` and ``--threads`` are shorthand for
+``--run.out``, ``--run.seed``, ``--topics.k``, ``--null.samples`` and
+``--run.threads``, applied before the dotted names.
 
-All exports are byte-deterministic for a fixed (inputs, config, seed);
-wall-clock timestamps appear only in the *.meta.json sidecars.
+Every export is written through `exports`, which owns the file names and
+formats. All exports are byte-deterministic for a fixed (inputs, config,
+seed); wall-clock timestamps appear only in the *.meta.json sidecars.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import datetime as _dt
-import io
+import ctypes
 import json
 import resource
 import sys
@@ -28,30 +30,26 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import epochs as epochs_mod
+from . import exports as exports_mod
 from . import nullmodel as null_mod
 from . import paths as paths_mod
 from . import surprise as surprise_mod
 from . import topics as topics_mod
 from .config import RunConfig, apply_override, load_run_config
-from .errors import InputError, read_text
-
-SUMMARY_FORMAT_VERSION = 1
+from .errors import InputError
 
 _COMMANDS = (
     "ingest", "train", "surprise", "null", "puborder",
     "greedy", "ranks", "epochs", "run", "report",
 )
 
-# Stages whose wall seconds `run` records in run_meta.json.
+# Stages whose wall seconds and peak RSS `run` records in run_meta.json.
 _STAGES = ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs")
 
-
-def _utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat()
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+# The common flags: each is shorthand for a dotted override.
+_SHORTHAND = {
+    "out": "run.out", "seed": "run.seed", "k": "topics.k", "samples": "null.samples", "threads": "run.threads",
+}
 
 
 def _note(msg: str) -> None:
@@ -59,13 +57,26 @@ def _note(msg: str) -> None:
 
 
 @contextlib.contextmanager
-def _timed(seconds: dict[str, float], stage: str):
-    """Add the wall time of the block to ``seconds[stage]``."""
+def _timed(seconds: dict[str, float], peaks: dict[str, float], stage: str):
+    """Add the wall time of the block to ``seconds[stage]``, and set
+    ``peaks[stage]`` to the process's peak RSS when the block ends."""
     start = time.perf_counter()
     try:
         yield
     finally:
         seconds[stage] += time.perf_counter() - start
+        peaks[stage] = _peak_rss_mb()
+
+
+def _release_free_heap() -> None:
+    """Give the pages of freed heap blocks back to the system (glibc's
+    malloc_trim; nothing elsewhere). Freed arrays otherwise stay resident
+    under what later stages allocate, by an amount that moves with the
+    heap's layout (up to several MB)."""
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):
+        pass
 
 
 def _peak_rss_mb() -> float:
@@ -117,19 +128,6 @@ def _load_model(cfg: RunConfig, k: int, records, fingerprint: str) -> topics_mod
     return model
 
 
-def _load_null_means(path: Path, positions: int) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))[1:]
-    if len(rows) != positions:
-        raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
-    try:
-        means = np.array([float(r[1]) for r in rows])
-    except (IndexError, ValueError) as exc:
-        raise InputError(f"malformed null ensemble {path}: a row has no numeric mean") from exc
-    if not np.all(np.isfinite(means)):
-        raise InputError(f"malformed null ensemble {path}: a row has a non-finite mean")
-    return means
-
-
 # --------------------------------------------------------------------------
 # pipeline steps (each writes its exports and returns its results)
 
@@ -155,16 +153,7 @@ def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> dict[int, topics_
         kdir = _kdir(cfg, model.k)
         kdir.mkdir(parents=True, exist_ok=True)
         topics_mod.save_model(kdir / "model.bin", model)
-        _dump_json(
-            kdir / "model.meta.json",
-            {
-                "created_utc": _utc_now(),
-                "k": model.k,
-                "seed": model.params.seed,
-                "iterations": model.params.iterations,
-                "corpus_fingerprint": model.corpus_fingerprint,
-            },
-        )
+        exports_mod.write_model_meta(kdir, model)
         out[model.k] = model
         _note(f"trained k={model.k}")
     return out
@@ -183,12 +172,7 @@ def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.Surpris
     out = _reading_series(model)
     doc_ids = [r.id for r in records[1:]]
     dates = [r.read_date.isoformat() for r in records[1:]]
-    for kind, series in out.items():
-        stem = kdir / f"series_{kind.lower()}"
-        surprise_mod.write_series_csv(stem.with_suffix(".csv"), series, doc_ids, dates)
-        surprise_mod.write_series_metadata(
-            stem.with_suffix(".meta.json"), series, model.corpus_fingerprint
-        )
+    exports_mod.write_series(kdir, "series", out, doc_ids, dates, model.corpus_fingerprint)
     return out
 
 
@@ -199,11 +183,8 @@ def cmd_surprise(cfg: RunConfig) -> None:
 
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
-    ncfg = cfg.null_config()
     out = null_mod.build_null(model.theta, perms)
-    for kind, ens in out.items():
-        null_mod.write_ensemble_json(kdir / f"null_{kind.lower()}.json", ens, ncfg)
-        null_mod.write_ensemble_csv(kdir / f"null_{kind.lower()}.csv", ens)
+    exports_mod.write_null(kdir, out, cfg.null_config())
     return out
 
 
@@ -215,17 +196,11 @@ def cmd_null(cfg: RunConfig) -> None:
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
-    ncfg = cfg.null_config()
     rep_order = null_mod.publication_order_ids(records)
     doc_ids = [records[i].id for i in rep_order[1:]]
     pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
-    out = null_mod.publication_order_series(model.theta, records, ncfg)
-    for kind, series in out.items():
-        stem = kdir / f"puborder_{kind.lower()}"
-        surprise_mod.write_series_csv(stem.with_suffix(".csv"), series, doc_ids, pub_years)
-        surprise_mod.write_series_metadata(
-            stem.with_suffix(".meta.json"), series, model.corpus_fingerprint
-        )
+    out = null_mod.publication_order_series(model.theta, records, cfg.null_config())
+    exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years, model.corpus_fingerprint)
     return out
 
 
@@ -236,14 +211,14 @@ def cmd_puborder(cfg: RunConfig) -> None:
 
 
 def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
-    doc_ids = [r.id for r in records]
-    gt2t = paths_mod.greedy_t2t_path(matrix, start_index=0)
-    gt2p = paths_mod.greedy_t2p_path(model.theta, start_index=0)
-    paths_mod.write_path_csv(kdir / "greedy_t2t.csv", gt2t, doc_ids)
-    paths_mod.write_path_csv(kdir / "greedy_t2p.csv", gt2p, doc_ids)
+    out = {
+        "T2T": paths_mod.greedy_t2t_path(matrix, start_index=0),
+        "T2P": paths_mod.greedy_t2p_path(model.theta, start_index=0),
+    }
+    exports_mod.write_greedy(kdir, out, [r.id for r in records])
     if cfg.export_matrix:
-        paths_mod.write_matrix_csv(kdir / "matrix.csv", matrix)
-    return {"T2T": gt2t, "T2P": gt2p}
+        exports_mod.write_matrix(kdir, matrix)
+    return out
 
 
 def cmd_greedy(cfg: RunConfig) -> None:
@@ -253,18 +228,13 @@ def cmd_greedy(cfg: RunConfig) -> None:
         _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
-def _write_ranks(kdir: Path, rd: paths_mod.RankDistribution) -> paths_mod.RankDistribution:
-    paths_mod.write_rank_csv(kdir / "ranks.csv", rd)
-    paths_mod.write_rank_json(kdir / "ranks.json", rd)
-    return rd
-
-
 def cmd_ranks(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     perms = null_mod.null_permutations(records, cfg.null_config())
     for k in cfg.k_list:
         matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records, fingerprint).theta)
-        _write_ranks(_kdir(cfg, k), paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms))
+        ranks = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
+        exports_mod.write_ranks(_kdir(cfg, k), ranks)
 
 
 def _series_dates(records) -> list:
@@ -285,55 +255,30 @@ def _step_epochs(
     """Fit epoch models for both series kinds. The series handed to the
     segmenter is the raw surprise by default (epochs.input = raw) or the
     null-relative surprise (epochs.input = relative); per-epoch relative
-    means are reported whenever null statistics are available.
-    ``placements`` is `_placements` of the records."""
+    means are reported whenever null statistics are available (``nulls``,
+    else the bundle's null exports). ``placements`` is `_placements` of
+    the records. Returns the epochs export's payload of each kind."""
     ecfg = cfg.epoch_config()
     dates = _series_dates(records)
+    relative = cfg.epoch_input == "relative"
     out = {}
     for kind in surprise_mod.SERIES_VALUES:
         values = series[kind].values
-        null_path = kdir / f"null_{kind.lower()}.csv"
-        null_means = None
         if nulls is not None:
             null_means = nulls[kind].position_mean
-        elif null_path.exists():
-            null_means = _load_null_means(null_path, len(values))
-        if cfg.epoch_input == "relative":
-            if null_means is None:
-                raise InputError(f"epochs.input=relative needs the null ensemble: {null_path}")
-            fit_values = values - null_means
         else:
-            fit_values = values
+            null_means = exports_mod.load_null_means(kdir, kind, len(values), required=relative)
+        fit_values = values - null_means if relative else values
         best, table, landscape = epochs_mod.select_n_with_landscape(
             fit_values, ecfg, dates=dates, log_placements=placements
         )
-        break_dates = epochs_mod.break_to_date(best, records)
         rel_means = None
         if null_means is not None:
-            rel_means = [
-                float(x)
-                for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)
-            ]
-        epochs_mod.write_epoch_report(
-            kdir / f"epochs_{kind.lower()}.json",
-            kind,
-            cfg.epoch_input,
-            best,
-            table,
-            break_dates=break_dates,
-            relative_means=rel_means,
-            prior=epochs_mod.evidence_prior(fit_values, ecfg),
+            rel_means = [float(x) for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)]
+        out[kind] = exports_mod.write_epochs(
+            kdir, kind, cfg.epoch_input, best, table, epochs_mod.break_to_date(best, records),
+            rel_means, epochs_mod.evidence_prior(fit_values, ecfg), landscape,
         )
-        epochs_mod.write_landscape_csv(kdir / f"landscape_{kind.lower()}.csv", landscape)
-        out[kind] = {
-            "selected_n": best.n,
-            "breaks": list(best.breaks),
-            "break_dates": [d.isoformat() for _, d in break_dates],
-            "segment_means": list(best.means),
-            "segment_variances": list(best.variances),
-            "segment_relative_means": rel_means,
-            "model_table": table,
-        }
     return out
 
 
@@ -345,31 +290,13 @@ def cmd_epochs(cfg: RunConfig) -> None:
         _step_epochs(_kdir(cfg, k), _reading_series(model), records, cfg, None, placements)
 
 
-def _declared_exports(cfg: RunConfig) -> list[str]:
-    names = ["model.bin", "model.meta.json", "ranks.csv", "ranks.json", "summary.json"]
-    for kind in ("t2t", "t2p"):
-        names += [
-            f"series_{kind}.csv",
-            f"series_{kind}.meta.json",
-            f"null_{kind}.json",
-            f"null_{kind}.csv",
-            f"puborder_{kind}.csv",
-            f"puborder_{kind}.meta.json",
-            f"greedy_{kind}.csv",
-            f"epochs_{kind}.json",
-            f"landscape_{kind}.csv",
-        ]
-    if cfg.export_matrix:
-        names.append("matrix.csv")
-    return sorted(names)
-
-
 def cmd_run(cfg: RunConfig) -> None:
     """Whole pipeline: ingest (when needed), train per k, every analysis,
     one bundle directory per k with a summary and a file manifest."""
     stage_s = dict.fromkeys(_STAGES, 0.0)
+    stage_rss = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    with _timed(stage_s, "ingest"):
+    with _timed(stage_s, stage_rss, "ingest"):
         fingerprint = None
         if not _corpus_path(cfg).exists():
             if cfg.manifest is None:
@@ -378,93 +305,57 @@ def cmd_run(cfg: RunConfig) -> None:
         # The models train on the reloaded cache, the same counts that ingest
         # fingerprinted; keeping the ingested objects instead raises peak RSS.
         records, vocab, matrix = _load_corpus(cfg)
-    with _timed(stage_s, "train"):
+    with _timed(stage_s, stage_rss, "train"):
         if fingerprint is None:
             fingerprint = corpus_mod.corpus_fingerprint(vocab, matrix)
         models = _train_models(cfg, matrix, fingerprint)
-    with _timed(stage_s, "null"):
+    with _timed(stage_s, stage_rss, "null"):
         perms = null_mod.null_permutations(records, cfg.null_config())
 
     placements = None
     for k, model in models.items():
         kdir = _kdir(cfg, k)
-        with _timed(stage_s, "surprise"):
+        with _timed(stage_s, stage_rss, "surprise"):
             series = _step_surprise(kdir, model, records)
-        with _timed(stage_s, "null"):
+        with _timed(stage_s, stage_rss, "null"):
             nulls = _step_null(kdir, model, perms, cfg)
-        with _timed(stage_s, "puborder"):
+        with _timed(stage_s, stage_rss, "puborder"):
             puborder = _step_puborder(kdir, model, records, cfg)
-        with _timed(stage_s, "greedy"):
+        with _timed(stage_s, stage_rss, "greedy"):
             matrix = paths_mod.divergence_matrix(model.theta)
             greedy = _step_greedy(kdir, model, records, cfg, matrix)
-        with _timed(stage_s, "ranks"):
+        with _timed(stage_s, stage_rss, "ranks"):
             counts = paths_mod.rank_counts(matrix, np.arange(len(matrix)), perms)
-            # Free the D x D divergence matrix before the bands load scipy
-            # and before the epoch fit: neither needs it.
+            # Free the D x D divergence matrix, and the pages of what is
+            # freed by now, before the bands load scipy and before the epoch
+            # fit: neither needs them, and the run's peak RSS falls in those.
             del matrix
-            ranks = _write_ranks(kdir, paths_mod.rank_bands(counts))
-        with _timed(stage_s, "epochs"):
+            _release_free_heap()
+            ranks = exports_mod.write_ranks(kdir, paths_mod.rank_bands(counts))
+        with _timed(stage_s, stage_rss, "epochs"):
             # First needed here, after the matrix is freed: the count pass's
             # temporaries would otherwise stay resident under its peak.
             if placements is None:
                 placements = _placements(records, cfg)
             epoch_info = _step_epochs(kdir, series, records, cfg, nulls, placements)
 
-        summary = {
-            "format_version": SUMMARY_FORMAT_VERSION,
-            "k": k,
-            "documents": len(records),
-            "seed": cfg.seed,
-            "surprise": {},
-            "epochs": epoch_info,
-            "ranks": {
-                "bin_edges": [float(e) for e in ranks.bin_edges],
-                "observed_props": [float(p) for p in ranks.observed_props],
-                "null_props": [float(p) for p in ranks.null_props],
-                "ratio": [None if not np.isfinite(r) else float(r) for r in ranks.ratio],
-            },
-        }
-        for kind in surprise_mod.SERIES_VALUES:
-            ens = nulls[kind]
-            lo, hi = ens.aggregate_quantiles()
-            summary["surprise"][kind] = {
-                "observed_bits_per_step": series[kind].mean_bits,
-                "null_mean_bits_per_step": ens.aggregate_mean,
-                "null_std_bits_per_step": ens.aggregate_std,
-                "null_q025_bits_per_step": lo,
-                "null_q975_bits_per_step": hi,
-                "p_value_below_null": ens.p_value,
-                "greedy_bits_per_step": greedy[kind].mean_bits,
-                "publication_order_bits_per_step": puborder[kind].mean_bits,
-            }
-        _dump_json(kdir / "summary.json", summary)
-        _dump_json(
-            kdir / "manifest.json",
-            {"format_version": 1, "k": k, "files": _declared_exports(cfg)},
+        exports_mod.write_summary(
+            kdir, k, len(records), cfg.seed, series, nulls, greedy, puborder, epoch_info, ranks
         )
+        exports_mod.write_manifest(kdir, k, cfg.export_matrix)
         _note(f"bundle complete: {kdir}")
 
-    _dump_json(
-        cfg.out / "run_meta.json",
+    exports_mod.write_run_meta(
+        cfg.out,
         {
-            "created_utc": _utc_now(),
             "k_list": cfg.k_list,
             "seed": cfg.seed,
             "stage_seconds": stage_s,
+            "stage_peak_rss_mb": stage_rss,
             "peak_rss_mb": _peak_rss_mb(),
             "sweep_kernel": topics_mod.sweep_kernel(),
         },
     )
-
-
-def _load_bundle_json(path: Path) -> dict:
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed bundle file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError(f"malformed bundle file {path}: not a JSON object")
-    return payload
 
 
 def _check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
@@ -473,10 +364,10 @@ def _check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
     model_meta = bundle / "model.meta.json"
     if not model_meta.exists():
         raise InputError(f"bundle is missing {model_meta.name}: {bundle}")
-    expected = _load_bundle_json(model_meta).get("corpus_fingerprint")
+    expected = exports_mod.load_bundle_json(model_meta).get("corpus_fingerprint")
     for name in files:
         if name.startswith(("series_", "puborder_")) and name.endswith(".meta.json"):
-            found = _load_bundle_json(bundle / name).get("model_fingerprint")
+            found = exports_mod.load_bundle_json(bundle / name).get("model_fingerprint")
             if found != expected:
                 raise InputError(
                     f"bundle file {bundle / name}: model_fingerprint {found!r} differs from "
@@ -530,7 +421,7 @@ def cmd_report(bundle: Path) -> None:
     manifest_path = bundle / "manifest.json"
     if not manifest_path.exists():
         raise InputError(f"not a result bundle (no manifest.json): {bundle}")
-    files = _load_bundle_json(manifest_path).get("files")
+    files = exports_mod.load_bundle_json(manifest_path).get("files")
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise InputError(f"malformed bundle file {manifest_path}: no list of file names")
     for name in files:
@@ -538,7 +429,7 @@ def cmd_report(bundle: Path) -> None:
             raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
     _check_bundle_fingerprints(bundle, files)
     summary_path = bundle / "summary.json"
-    summary = _load_bundle_json(summary_path)
+    summary = exports_mod.load_bundle_json(summary_path)
     try:
         lines = _report_lines(summary)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -561,11 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("bundle", type=Path, help="result bundle directory (out/k<NN>)")
             continue
         p.add_argument("--config", type=Path, default=None, help="INI configuration file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--k", type=int, default=None, help="topic count (single model)")
-        p.add_argument("--samples", type=int, default=None, help="null permutation count")
-        p.add_argument("--threads", type=int, default=None)
+        for flag, dotted in _SHORTHAND.items():
+            p.add_argument(f"--{flag}", default=None, help=f"shorthand for --{dotted}")
     return parser
 
 
@@ -592,20 +480,13 @@ def _split_overrides(rest: list[str]) -> list[tuple[str, str]]:
 
 
 def _config_from_args(args, overrides: list[tuple[str, str]]) -> RunConfig:
-    given = {dotted for dotted, _ in overrides}
-    if "topics.k_list" in given and (args.k is not None or "topics.k" in given):
+    """The config file with the command line's overrides applied in order:
+    the common flags first, then the dotted names."""
+    common = [(dotted, getattr(args, flag)) for flag, dotted in _SHORTHAND.items()]
+    overrides = [(dotted, value) for dotted, value in common if value is not None] + overrides
+    if {"topics.k", "topics.k_list"} <= {dotted for dotted, _ in overrides}:
         raise InputError("the command line sets both topics.k (or --k) and topics.k_list; pick one")
     cfg = load_run_config(args.config)
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.k is not None:
-        cfg.k_list = [args.k]
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.threads is not None:
-        cfg.threads = args.threads
     for dotted, value in overrides:
         apply_override(cfg, dotted, value)
     cfg.validate()

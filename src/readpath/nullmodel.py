@@ -31,13 +31,10 @@ The exact publication-order mean evaluates each year's tie orders through
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -399,32 +396,3 @@ def publication_order_ids(records) -> list[int]:
     within-year averaging makes per-position documents representative
     only, which series metadata should note."""
     return [i for g in _year_groups(records) for i in g]
-
-
-def write_ensemble_json(path: Path | str, ens: NullEnsemble, config: NullConfig) -> None:
-    lo, hi = ens.aggregate_quantiles()
-    payload = {
-        "format_version": 1,
-        "kind": ens.kind,
-        "config": {
-            "samples": config.samples,
-            "seed": config.seed,
-            "within_year_exact_threshold": config.within_year_exact_threshold,
-            "within_year_samples": config.within_year_samples,
-        },
-        "observed_aggregate_bits": ens.observed_aggregate,
-        "null_aggregate_mean_bits": ens.aggregate_mean,
-        "null_aggregate_std_bits": ens.aggregate_std,
-        "null_aggregate_q025_bits": lo,
-        "null_aggregate_q975_bits": hi,
-        "p_value_below_null": ens.p_value,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def write_ensemble_csv(path: Path | str, ens: NullEnsemble) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["position", "null_mean_bits", "null_std_bits"])
-        for j in range(len(ens.position_mean)):
-            w.writerow([j + 1, repr(float(ens.position_mean[j])), repr(float(ens.position_std[j]))])

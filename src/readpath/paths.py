@@ -17,10 +17,7 @@ loads scipy; `run` frees the D x D matrix between them.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -132,8 +129,8 @@ def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
     d, n = m.shape[0], len(orders)
     cols = np.arange(n)
     # moves[i, o]: the document after i in order o (i itself when i is last),
-    # overwritten row by row with the rank of that move
-    moves = np.empty((d, n), dtype=np.int64)
+    # overwritten row by row with the rank of that move; both are below D
+    moves = np.empty((d, n), dtype=np.int32)
     moves[orders[:, -1], cols] = orders[:, -1]
     moves[orders[:, :-1], cols[:, None]] = orders[:, 1:]
     for i in range(d):
@@ -233,65 +230,3 @@ def _beta_bound(count: int, n: int, q: float) -> float:
     if q < 0.5:
         return 0.0 if count == 0 else float(betaincinv(count, n - count + 1, q))
     return 1.0 if count == n else float(betaincinv(count + 1, n - count, q))
-
-
-def write_path_csv(path: Path | str, gp: GreedyPath, doc_ids: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "doc_id", "step_bits"])
-        w.writerow([0, doc_ids[gp.order[0]], ""])
-        for s, idx in enumerate(gp.order[1:]):
-            w.writerow([s + 1, doc_ids[idx], repr(float(gp.step_bits[s]))])
-
-
-def write_matrix_csv(path: Path | str, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        d = matrix.shape[0]
-        w.writerow(["row"] + [str(j) for j in range(d)])
-        for i in range(d):
-            w.writerow([i] + [repr(float(x)) for x in matrix[i]])
-
-
-def write_rank_json(path: Path | str, rd: RankDistribution) -> None:
-    def _clean(a):
-        return [None if not np.isfinite(x) else float(x) for x in a]
-
-    payload = {
-        "format_version": 1,
-        "bin_edges": [float(e) for e in rd.bin_edges],
-        "observed_counts": [int(c) for c in rd.observed_counts],
-        "null_counts": [int(c) for c in rd.null_counts],
-        "observed_props": [float(p) for p in rd.observed_props],
-        "null_props": [float(p) for p in rd.null_props],
-        "ratio": _clean(rd.ratio),
-        "ratio_low": _clean(rd.ratio_low),
-        "ratio_high": _clean(rd.ratio_high),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def write_rank_csv(path: Path | str, rd: RankDistribution) -> None:
-    def fmt(x):
-        return "" if not np.isfinite(x) else repr(float(x))
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["bin_low", "bin_high", "observed_count", "null_count",
-             "observed_prop", "null_prop", "ratio", "ratio_low", "ratio_high"]
-        )
-        for i in range(len(rd.observed_counts)):
-            w.writerow(
-                [
-                    int(rd.bin_edges[i]),
-                    int(rd.bin_edges[i + 1]),
-                    int(rd.observed_counts[i]),
-                    int(rd.null_counts[i]),
-                    repr(float(rd.observed_props[i])),
-                    repr(float(rd.null_props[i])),
-                    fmt(rd.ratio[i]),
-                    fmt(rd.ratio_low[i]),
-                    fmt(rd.ratio_high[i]),
-                ]
-            )

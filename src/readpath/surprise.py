@@ -16,11 +16,8 @@ orders; the scalar `kl_divergence` is its test reference.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
@@ -236,34 +233,3 @@ def pub_read_regression(records) -> tuple[float, float, float]:
         return float(slope), float(intercept), 0.0
     ssres = np.sum((y - (slope * x + intercept)) ** 2)
     return float(slope), float(intercept), float(1.0 - ssres / sstot)
-
-
-def write_series_csv(
-    path: Path | str,
-    series: SurpriseSeries,
-    doc_ids: list[str] | None = None,
-    dates: list[str] | None = None,
-) -> None:
-    """Export: one row per position with the document and date at that
-    position (blank when the ordering has no single representative)."""
-    n = len(series)
-    doc_ids = doc_ids if doc_ids is not None else [""] * n
-    dates = dates if dates is not None else [""] * n
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["position", "doc_id", "date", "value_bits"])
-        for j in range(n):
-            w.writerow([j + 1, doc_ids[j], dates[j], repr(float(series.values[j]))])
-
-
-def write_series_metadata(path: Path | str, series: SurpriseSeries, model_fingerprint: str = "") -> None:
-    meta = {
-        "format_version": 1,
-        "kind": series.kind,
-        "n_window": series.n_window,
-        "ordering": series.ordering,
-        "positions": len(series),
-        "mean_bits": series.mean_bits,
-        "model_fingerprint": model_fingerprint,
-    }
-    Path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

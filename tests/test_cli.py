@@ -90,6 +90,9 @@ class TestRun:
         assert sorted(meta["stage_seconds"]) == sorted(stages)
         assert all(meta["stage_seconds"][s] > 0 for s in stages)
         assert meta["peak_rss_mb"] > 0
+        # the peak RSS when each stage last ended: no stage exceeds the run's peak
+        assert sorted(meta["stage_peak_rss_mb"]) == sorted(meta["stage_seconds"])
+        assert all(0 < meta["stage_peak_rss_mb"][s] <= meta["peak_rss_mb"] for s in stages)
         assert meta["sweep_kernel"] == topics.sweep_kernel()
         assert meta["k_list"] == [2, 3] and meta["seed"] == 5
 
@@ -163,6 +166,39 @@ class TestStagedPipeline:
         parsed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows[1:]])
         expected = paths.divergence_matrix(topics.load_model(kdir / "model.bin").theta)
         np.testing.assert_array_equal(parsed, expected)
+
+
+class TestExportFormat:
+    def test_every_json_and_csv_export_has_the_one_format(self, tmp_path):
+        """JSON: sorted keys, indent 2, a trailing newline. CSV: a header row,
+        \\r\\n row ends, a float as repr(float) and no non-finite cell."""
+        cfg = build_demo(tmp_path)
+        flags = ["--config", str(cfg), "--topics.k_list", "3,4", "--run.export_matrix", "true"]
+        assert main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+        for cmd in ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs"):
+            assert main([cmd, *flags, "--out", str(tmp_path / "staged")]) == 0, cmd
+        exports = sorted((tmp_path / "run").rglob("*.*")) + sorted((tmp_path / "staged").rglob("*.*"))
+        # corpus.json is the compact cache the stages reload, not an export
+        exports = [p for p in exports if p.name != "corpus.json"]
+        assert {p.suffix for p in exports} == {".json", ".csv", ".bin"}
+        for path in exports:
+            text = path.read_bytes().decode("utf-8") if path.suffix != ".bin" else ""
+            if path.suffix == ".json":
+                assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+            elif path.suffix == ".csv":
+                lines = text.split("\r\n")
+                assert len(lines) > 2 and lines[-1] == "" and "\n" not in text.replace("\r\n", ""), path
+                assert lines[0].split(",")[0].isidentifier(), path  # a header row
+                for cell in (c for line in lines[1:-1] for c in line.split(",")):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(value), (path, cell)
+                    try:
+                        int(cell)
+                    except ValueError:
+                        assert cell == repr(value), (path, cell)
 
 
 class TestWorkPerK:

@@ -481,20 +481,22 @@ def epoch_problems(draw):
 
 # Window edges of `_suffix_dp`, for L = 2 * _BLOCK + 1, whose blocks start
 # at rows _BLOCK + 2, 2 and 0:
-# - SKIP: positions ten days apart and a minimum of 1,265 days, so no start
-#   from _BLOCK + 2 on can open a segment and that whole block is skipped,
-#   while n = 2 still fits (breaks _BLOCK and _BLOCK + 1);
-# - EMPTY: minimum 40 and n_max = 4, so in the block at _BLOCK + 2 level 3
-#   has no finite entry from c0 on and levels 4 and up are never reduced;
+# - SKIP: positions ten days apart and a minimum of 10 * _BLOCK - 15 days
+#   (_BLOCK positions), so no start from _BLOCK + 2 on can open a segment
+#   and that whole block is skipped, while n = 2 still fits (breaks _BLOCK
+#   and _BLOCK + 1);
+# - EMPTY: minimum _BLOCK // 3 and n_max = 4, so in the block at _BLOCK + 2
+#   level 3 has no finite entry from c0 on and levels 4 and up are never
+#   reduced;
 # - ONE_COLUMN: minimum (L - 2) / 3, so n = 3 fits exactly and level 3 of
 #   the block at row 2 reduces over the single column 2 + minimum.
 WINDOW_LENGTH = 2 * _BLOCK + 1
 SKIP = (
     np.random.default_rng(4).normal(0, 1, WINDOW_LENGTH),
-    EpochSearchConfig(n_max=2, min_years=1265 / 365.25),
+    EpochSearchConfig(n_max=2, min_years=(10 * _BLOCK - 15) / 365.25),
     [date(1830, 1, 1) + timedelta(days=10 * i) for i in range(WINDOW_LENGTH)],
 )
-EMPTY = (np.random.default_rng(5).normal(0, 1, WINDOW_LENGTH), IDX(n_max=4, min_length=40), None)
+EMPTY = (np.random.default_rng(5).normal(0, 1, WINDOW_LENGTH), IDX(n_max=4, min_length=_BLOCK // 3), None)
 ONE_COLUMN = (
     np.random.default_rng(6).normal(0, 1, WINDOW_LENGTH),
     IDX(n_max=3, min_length=(WINDOW_LENGTH - 2) // 3),
@@ -504,7 +506,7 @@ ONE_COLUMN = (
 # window alone instead of the full row moves the n = 2 log evidence by one
 # ulp: the pairwise sum groups the window's terms differently. Most series
 # hide that change, as log(sum) is added to a far larger top.
-FULL_ROW_SUM = (np.random.default_rng(183).normal(0, 1, WINDOW_LENGTH), IDX(n_max=3, min_length=5), None)
+FULL_ROW_SUM = (np.random.default_rng(629).normal(0, 1, WINDOW_LENGTH), IDX(n_max=3, min_length=5), None)
 
 
 class TestBlockedDP:
@@ -516,7 +518,7 @@ class TestBlockedDP:
     @example(problem=FULL_ROW_SUM)
     @example(problem=(np.random.default_rng(0).normal(0, 1, 2 * _BLOCK + 1), IDX(n_max=3, min_length=5), None))
     @example(problem=(np.random.default_rng(1).normal(0, 1, _BLOCK - 1), IDX(n_max=4, min_length=3), None))
-    @example(problem=(np.random.default_rng(2).normal(0, 1, _BLOCK + 1), IDX(n_max=4, min_length=60), None))
+    @example(problem=(np.random.default_rng(2).normal(0, 1, _BLOCK + 1), IDX(n_max=4, min_length=(_BLOCK + 1) * 15 // 32), None))
     def test_bit_equal_to_whole_table_oracle(self, problem):
         x, cfg, dates = problem
         expected_ev = table_log_evidence(x, cfg, dates)
