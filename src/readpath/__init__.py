@@ -35,7 +35,6 @@ from .nullmodel import (
     build_null,
     null_permutations,
     publication_order_series,
-    sample_constrained_permutation,
 )
 from .paths import (
     GreedyPath,
@@ -47,16 +46,13 @@ from .paths import (
 )
 from .surprise import (
     SurpriseSeries,
-    cumulative_relative,
     epoch_mean_relative,
     kl_divergence,
-    pub_read_regression,
-    reading_density,
     t2n_series,
     t2p_series,
     t2t_series,
 )
-from .topics import TopicModel, TopicModelParams, sweep_k, theta_row, train
+from .topics import TopicModel, TopicModelParams, sweep_k, train
 
 __all__ = [
     "CorpusMatrix",
@@ -77,7 +73,6 @@ __all__ = [
     "break_to_date",
     "build_corpus",
     "build_null",
-    "cumulative_relative",
     "divergence_matrix",
     "epoch_mean_relative",
     "fit",
@@ -87,18 +82,14 @@ __all__ = [
     "load_manifest",
     "log_evidence",
     "null_permutations",
-    "pub_read_regression",
     "publication_order_series",
     "rank_distribution",
-    "reading_density",
-    "sample_constrained_permutation",
     "segment_loglik",
     "select_n",
     "sweep_k",
     "t2n_series",
     "t2p_series",
     "t2t_series",
-    "theta_row",
     "tokenize",
     "train",
 ]

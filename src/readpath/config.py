@@ -39,7 +39,6 @@ class RunConfig:
     epoch_min_length: int | None = None
     epoch_min_years: float | None = 5.0
     epoch_input: str = "raw"
-    epoch_variance_floor: float = 1e-12
     # [run]
     out: Path = Path("out")
     seed: int = 0
@@ -74,7 +73,6 @@ class RunConfig:
             n_max=self.epoch_n_max,
             min_length=self.epoch_min_length,
             min_years=None if self.epoch_min_length is not None else self.epoch_min_years,
-            variance_floor=self.epoch_variance_floor,
         )
 
     def validate(self) -> None:
@@ -82,6 +80,9 @@ class RunConfig:
             raise InputError(f"epochs.input must be one of {EPOCH_INPUTS}")
         if not self.k_list:
             raise InputError("topics.k or topics.k_list must name at least one k")
+        repeated = sorted({k for k in self.k_list if self.k_list.count(k) > 1})
+        if repeated:
+            raise InputError(f"topics.k_list repeats k={repeated[0]}; each k names one bundle")
         if self.threads < 1:
             raise InputError("run.threads must be >= 1")
         if self.seed < 0:
@@ -95,14 +96,6 @@ class RunConfig:
                 dataclasses.replace(self.topic_params(), k=k)
         except ValueError as exc:
             raise InputError(f"bad configuration: {exc}") from exc
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
 
 
 def _parse_bool(s: str) -> bool:
@@ -130,25 +123,24 @@ def _parse_optional_float(s: str) -> float | None:
 _SCHEMA = {
     ("corpus", "manifest"): ("manifest", str, True),
     ("corpus", "stopwords"): ("stopwords", str, True),
-    ("corpus", "min_count"): ("min_count", _parse_int, False),
-    ("corpus", "max_count"): ("max_count", _parse_int, False),
+    ("corpus", "min_count"): ("min_count", int, False),
+    ("corpus", "max_count"): ("max_count", int, False),
     ("topics", "k"): ("k_list", lambda s: [int(s)], False),
     ("topics", "k_list"): ("k_list", _parse_int_list, False),
     ("topics", "alpha"): ("alpha", _parse_optional_float, False),
-    ("topics", "beta"): ("beta", _parse_float, False),
-    ("topics", "iterations"): ("iterations", _parse_int, False),
-    ("topics", "average_last"): ("average_last", _parse_int, False),
-    ("null", "samples"): ("samples", _parse_int, False),
-    ("null", "within_year_exact_threshold"): ("within_year_exact_threshold", _parse_int, False),
-    ("null", "within_year_samples"): ("within_year_samples", _parse_int, False),
-    ("epochs", "n_max"): ("epoch_n_max", _parse_int, False),
+    ("topics", "beta"): ("beta", float, False),
+    ("topics", "iterations"): ("iterations", int, False),
+    ("topics", "average_last"): ("average_last", int, False),
+    ("null", "samples"): ("samples", int, False),
+    ("null", "within_year_exact_threshold"): ("within_year_exact_threshold", int, False),
+    ("null", "within_year_samples"): ("within_year_samples", int, False),
+    ("epochs", "n_max"): ("epoch_n_max", int, False),
     ("epochs", "min_length"): ("epoch_min_length", _parse_optional_int, False),
     ("epochs", "min_years"): ("epoch_min_years", _parse_optional_float, False),
     ("epochs", "input"): ("epoch_input", str, False),
-    ("epochs", "variance_floor"): ("epoch_variance_floor", _parse_float, False),
     ("run", "out"): ("out", str, True),
-    ("run", "seed"): ("seed", _parse_int, False),
-    ("run", "threads"): ("threads", _parse_int, False),
+    ("run", "seed"): ("seed", int, False),
+    ("run", "threads"): ("threads", int, False),
     ("run", "export_matrix"): ("export_matrix", _parse_bool, False),
 }
 

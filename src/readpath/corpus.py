@@ -146,28 +146,6 @@ class CorpusMatrix:
         return doc_of, word_of
 
 
-def default_stopword_path() -> Path:
-    return Path(str(resources.files("readpath").joinpath("data/stopwords_english.txt")))
-
-
-def load_stopwords(path: Path | None = None) -> frozenset[str]:
-    """Read a newline-delimited stopword file (UTF-8, one token per line)."""
-    p = Path(path) if path is not None else default_stopword_path()
-    if not p.exists():
-        raise InputError(f"stopword file not found: {p}")
-    words = set()
-    for line in read_text(p).splitlines():
-        tok = line.strip()
-        if tok:
-            words.add(tok.lower())
-    return frozenset(words)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_stopwords(path_key: str | None) -> frozenset[str]:
-    return load_stopwords(Path(path_key) if path_key else None)
-
-
 def load_manifest(path: Path | str) -> list[VolumeRecord]:
     """Read a reading-list CSV and return validated records in reading order.
 
@@ -241,8 +219,15 @@ def _ascii_text(text: str) -> str:
     return unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
 
 
+@functools.lru_cache(maxsize=8)
 def _stopwords(config: TokenizerConfig) -> frozenset[str]:
-    return _cached_stopwords(str(config.stopword_path) if config.stopword_path else None)
+    """The lowercased stopwords of ``config``'s newline-delimited UTF-8 file
+    (one token per line), or of the packaged English list."""
+    default = resources.files("readpath").joinpath("data/stopwords_english.txt")
+    path = Path(str(config.stopword_path or default))
+    if not path.exists():
+        raise InputError(f"stopword file not found: {path}")
+    return frozenset(tok.lower() for line in read_text(path).splitlines() if (tok := line.strip()))
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:

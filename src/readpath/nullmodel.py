@@ -120,9 +120,11 @@ def _kl_from_ratios(q: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
 class ConstrainedPermutationSampler:
     """Uniform sampler over date-feasible assignments of titles to slots.
 
-    ``sample`` returns a permutation ``perm`` where ``perm[t]`` is the
+    ``sample_batch`` returns permutations ``perm`` where ``perm[t]`` is the
     original index of the title assigned to reading slot t (slots in
-    reading order).
+    reading order). The one-row ``sample`` has no caller in the program; it
+    stays because perfbench's tracer (``perfbench/tracer.py``) counts the
+    permutations drawn through it and looks it up by name.
     """
 
     def __init__(self, records):
@@ -193,11 +195,6 @@ class ConstrainedPermutationSampler:
             raise AssertionError("sampled permutation violates the publication constraint")
 
 
-def sample_constrained_permutation(records, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw over valid title-to-slot assignments."""
-    return ConstrainedPermutationSampler(records).sample(rng)
-
-
 def _sample_rng(seed: int, j: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
 
@@ -230,10 +227,6 @@ class NullEnsemble:
             raise ValueError("p-value out of [0, 1]")
 
     @property
-    def samples(self) -> int:
-        return len(self.sample_aggregates)
-
-    @property
     def aggregate_mean(self) -> float:
         return float(self.sample_aggregates.mean())
 
@@ -241,8 +234,9 @@ class NullEnsemble:
     def aggregate_std(self) -> float:
         return float(self.sample_aggregates.std())
 
-    def aggregate_quantiles(self, qs=(0.025, 0.975)) -> list[float]:
-        return [float(x) for x in np.quantile(self.sample_aggregates, qs)]
+    def aggregate_quantiles(self) -> list[float]:
+        """The 2.5% and 97.5% quantiles of the sample aggregates."""
+        return [float(x) for x in np.quantile(self.sample_aggregates, (0.025, 0.975))]
 
 
 def build_null(thetas, perms) -> dict[str, NullEnsemble]:

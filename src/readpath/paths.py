@@ -79,8 +79,6 @@ def greedy_t2p_path(thetas, start_index: int = 0) -> GreedyPath:
     from the candidate to the running mean of everything visited so far."""
     t = _check_distributions(thetas)
     d = t.shape[0]
-    if d == 0:
-        raise ValueError("empty input")
     if not (0 <= start_index < d):
         raise ValueError(f"start_index {start_index} out of range")
     negent = np.sum(t * np.log2(t), axis=1)
@@ -121,18 +119,24 @@ class RankDistribution:
     ratio_high: np.ndarray
 
 
-def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Move ranks of every row of ``orders`` (checked permutations), from
-    one sort per matrix row: row i's moves are i -> the document after
-    i in each order, and a move's count of smaller entries in the row is a
-    binary search of the sorted row."""
-    d, n = m.shape[0], len(orders)
-    cols = np.arange(n)
-    # moves[i, o]: the document after i in order o (i itself when i is last),
-    # overwritten row by row with the rank of that move; both are below D
-    moves = np.empty((d, n), dtype=np.int32)
-    moves[orders[:, -1], cols] = orders[:, -1]
-    moves[orders[:, :-1], cols[:, None]] = orders[:, 1:]
+def _move_ranks(m: np.ndarray, observed: np.ndarray, null_orders: np.ndarray):
+    """Move ranks of the observed order and of every null order (checked
+    permutations), from one sort per matrix row: row i's moves are i -> the
+    document after i in each order, and a move's count of smaller entries
+    in the row is a binary search of the sorted row. Returns the observed
+    order's D - 1 ranks and the null orders' (M, D - 1) ranks."""
+    d = m.shape[0]
+    # moves[i, o]: the document after i in order o (column 0 the observed
+    # order, column j + 1 null order j; i itself when i is last), overwritten
+    # row by row with the rank of that move; both are below D. The orders
+    # are scattered into it one by one, not stacked into one copy first: the
+    # count pass runs while the D x D matrix is live, and sets the peak RSS.
+    moves = np.empty((d, len(null_orders) + 1), dtype=np.int32)
+    cols = np.arange(1, moves.shape[1])
+    moves[observed[:-1], 0] = observed[1:]
+    moves[observed[-1], 0] = observed[-1]
+    moves[null_orders[:, -1], cols] = null_orders[:, -1]
+    moves[null_orders[:, :-1], cols[:, None]] = null_orders[:, 1:]
     for i in range(d):
         row = m[i]
         chosen = row[moves[i]]
@@ -142,7 +146,7 @@ def _move_ranks(m: np.ndarray, orders: np.ndarray) -> np.ndarray:
             less[np.isnan(chosen)] = 0
         less -= row[i] < chosen  # self entry never competes
         moves[i] = less + 1
-    return moves[orders[:, :-1], cols[:, None]]
+    return moves[observed[:-1], 0], moves[null_orders[:, :-1], cols[:, None]]
 
 
 @dataclass(frozen=True)
@@ -170,9 +174,8 @@ def rank_counts(matrix, observed_order, null_orders) -> RankCounts:
         raise ValueError("null_orders must be a nonempty 2-D array of permutations")
     if null_orders.shape[1] != d or np.any(np.sort(null_orders, axis=1) != np.arange(d)):
         raise ValueError("order must be a permutation of 0..D-1")
-    ranks = _move_ranks(m, np.vstack([observed, null_orders]))
-    # A copy: a view would keep the whole (M+1, D-1) array alive with the result.
-    obs_ranks, null_ranks = ranks[0].copy(), ranks[1:].ravel()
+    obs_ranks, null_ranks = _move_ranks(m, observed, null_orders)
+    null_ranks = null_ranks.ravel()
 
     # Every rank in [1, D-1] falls strictly inside [2^b, 2^(b+1)).
     n_bins = int(np.floor(np.log2(d - 1))) + 1

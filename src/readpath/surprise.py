@@ -17,7 +17,6 @@ orders; the scalar `kl_divergence` is its test reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -160,17 +159,6 @@ def _series_values(series) -> np.ndarray:
     return np.asarray(series, dtype=np.float64)
 
 
-def cumulative_relative(series, null_mean_per_position) -> np.ndarray:
-    """Cumulative sum of (surprise - null mean) per position. Negative
-    slope means running below the null (exploitation); positive slope,
-    above it (exploration)."""
-    v = _series_values(series)
-    null_mean = np.asarray(null_mean_per_position, dtype=np.float64)
-    if v.shape != null_mean.shape:
-        raise ValueError(f"length mismatch: {v.shape} vs {null_mean.shape}")
-    return np.cumsum(v - null_mean)
-
-
 def check_breaks(breaks, length: int) -> list[int]:
     breaks = [int(b) for b in breaks]
     if not breaks or breaks[0] != 0:
@@ -192,44 +180,3 @@ def epoch_mean_relative(series, null_mean_per_position, breaks) -> np.ndarray:
     bounds = check_breaks(breaks, len(v)) + [len(v)]
     rel = v - null_mean
     return np.array([rel[a:b].mean() for a, b in zip(bounds, bounds[1:])])
-
-
-def reading_density(read_dates: list[date], window_days: float = 182.625) -> tuple[list[date], np.ndarray]:
-    """Centered moving count of readings per year, evaluated at each read
-    date over a window of ``window_days`` (default six months)."""
-    if not read_dates:
-        raise ValueError("need at least one date")
-    t = np.array([d.toordinal() for d in read_dates], dtype=np.float64)
-    if np.any(np.diff(t) < 0):
-        raise ValueError("dates must be sorted ascending")
-    half = window_days / 2.0
-    lo = np.searchsorted(t, t - half, side="left")
-    hi = np.searchsorted(t, t + half, side="right")
-    density = (hi - lo) / (window_days / 365.25)
-    return list(read_dates), density
-
-
-def decimal_year(d: date) -> float:
-    start = date(d.year, 1, 1).toordinal()
-    end = date(d.year + 1, 1, 1).toordinal()
-    return d.year + (d.toordinal() - start) / (end - start)
-
-
-def pub_read_regression(records) -> tuple[float, float, float]:
-    """OLS of publication year on read date (decimal years): returns
-    (slope, intercept, r^2)."""
-    if len(records) < 2:
-        raise ValueError("need at least 2 records")
-    x = np.array([decimal_year(r.read_date) for r in records])
-    y = np.array([float(r.pub_year) for r in records])
-    sxx = np.sum((x - x.mean()) ** 2)
-    if sxx == 0:
-        raise ValueError("all read dates identical: slope undefined")
-    sxy = np.sum((x - x.mean()) * (y - y.mean()))
-    slope = sxy / sxx
-    intercept = y.mean() - slope * x.mean()
-    sstot = np.sum((y - y.mean()) ** 2)
-    if sstot == 0:
-        return float(slope), float(intercept), 0.0
-    ssres = np.sum((y - (slope * x + intercept)) ** 2)
-    return float(slope), float(intercept), float(1.0 - ssres / sstot)

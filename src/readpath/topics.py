@@ -194,9 +194,6 @@ class TopicModelParams:
     def resolved_alpha(self) -> float:
         return self.alpha if self.alpha is not None else 50.0 / self.k
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class TopicModel:
@@ -211,10 +208,6 @@ class TopicModel:
                 raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
             if m.min() <= 0:
                 raise ValueError(f"{name} entries must be strictly positive")
-
-    @property
-    def n_docs(self) -> int:
-        return self.theta.shape[0]
 
     @property
     def k(self) -> int:
@@ -255,13 +248,6 @@ def train(
     theta = theta_acc / params.average_last
     phi = phi_acc / params.average_last
     return TopicModel(theta=theta, phi=phi, params=params, corpus_fingerprint=fingerprint)
-
-
-def theta_row(model: TopicModel, doc_index: int) -> np.ndarray:
-    """Copy of one document's topic distribution."""
-    if not (0 <= doc_index < model.n_docs):
-        raise IndexError(f"doc_index {doc_index} out of range [0, {model.n_docs})")
-    return model.theta[doc_index].copy()
 
 
 def sweep_k(
@@ -308,7 +294,7 @@ def save_model(path: Path | str, model: TopicModel) -> None:
         "d": model.theta.shape[0],
         "k": model.theta.shape[1],
         "v": model.phi.shape[1],
-        "params": model.params.as_dict(),
+        "params": dataclasses.asdict(model.params),
         "corpus_fingerprint": model.corpus_fingerprint,
     }
     with open(path, "wb") as fh:

@@ -109,10 +109,23 @@ class TestRun:
         assert "pick one" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_k_exit_1_names_k(self, tmp_path, capsys):
+        # One bundle per k: a repeated k would train a second chain into it.
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--topics.k_list", "3,4,3"]) == 1
+        assert "k=3" in capsys.readouterr().err
+        text = cfg.read_text(encoding="utf-8").replace("k = 2", "k_list = 4,2,4")
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        assert "k=4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_override_rejected(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg), "--topics.nope", "1"]) == 1
         assert "topics.nope" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--epochs.variance_floor", "1e-6"]) == 1
+        assert "epochs.variance_floor" in capsys.readouterr().err
 
     def test_missing_cache_for_train_exit_1(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)

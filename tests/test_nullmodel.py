@@ -18,7 +18,6 @@ from readpath.nullmodel import (
     build_null,
     null_permutations,
     publication_order_series,
-    sample_constrained_permutation,
 )
 from readpath.surprise import SERIES_VALUES, kl_divergence, t2p_series, t2t_series
 
@@ -139,7 +138,7 @@ def valid_permutations(records):
 class TestSampler:
     def test_forced_choices_identity(self, rng):
         records = make_records(pub_years=[1840, 1850, 1860], read_years=[1840, 1850, 1860])
-        perm = sample_constrained_permutation(records, rng)
+        perm = ConstrainedPermutationSampler(records).sample_batch(rng, 1)[0]
         assert list(perm) == [0, 1, 2]
 
     def test_unconstrained_four_titles_uniform(self):

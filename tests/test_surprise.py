@@ -1,23 +1,17 @@
-import math
-from datetime import date
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readpath.surprise import (
-    cumulative_relative,
     epoch_mean_relative,
     kl_divergence,
-    pub_read_regression,
-    reading_density,
     t2n_series,
     t2p_series,
     t2t_series,
 )
 
-from conftest import make_records, random_simplex
+from conftest import random_simplex
 
 
 def simplex_strategy(k=5):
@@ -128,26 +122,6 @@ class TestSeries:
         assert len(s) == 1
 
 
-class TestCumulativeRelative:
-    def test_series_against_itself_is_zero(self, rng):
-        v = rng.random(10)
-        assert np.all(cumulative_relative(v, v) == 0.0)
-
-    def test_constant_excess(self):
-        v = np.ones(5) * 2.0
-        null = np.ones(5)
-        np.testing.assert_allclose(cumulative_relative(v, null), [1, 2, 3, 4, 5])
-
-    def test_hand_summed_toy(self):
-        v = np.array([1.0, 0.5, 2.0])
-        null = np.array([0.5, 1.0, 1.0])
-        np.testing.assert_allclose(cumulative_relative(v, null), [0.5, 0.0, 1.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cumulative_relative(np.ones(3), np.ones(4))
-
-
 class TestEpochMeanRelative:
     def test_single_segment_matching_null(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -163,69 +137,3 @@ class TestEpochMeanRelative:
         for breaks in ([], [1], [0, 0], [0, 5]):
             with pytest.raises(ValueError):
                 epoch_mean_relative(v, v, breaks)
-
-
-class TestReadingDensity:
-    def test_monthly_dates_flat_interior(self):
-        dates = [date(1850 + m // 12, m % 12 + 1, 1) for m in range(24)]
-        _, density = reading_density(dates, window_days=100.0)
-        interior = density[2:-2]
-        assert np.all(interior == interior[0])
-
-    def test_identical_dates_spike(self):
-        dates = [date(1850, 6, 1)] * 5
-        _, density = reading_density(dates, window_days=100.0)
-        assert np.all(density == 5 / (100.0 / 365.25))
-
-    def test_cluster_hand_profile(self):
-        dates = (
-            [date(2000, 6, 1)]
-            + [date(2001, 6, d) for d in range(1, 6)]
-            + [date(2002, 6, 1)]
-        )
-        _, density = reading_density(dates)  # default six-month window
-        per_window_year = 182.625 / 365.25
-        assert density[0] == pytest.approx(1 / per_window_year)
-        assert np.all(density[1:6] == pytest.approx(5 / per_window_year))
-        assert density[6] == pytest.approx(1 / per_window_year)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            reading_density([])
-
-
-class TestPubReadRegression:
-    def test_exact_line(self):
-        records = make_records(
-            pub_years=[1840, 1841, 1842, 1843],
-            read_dates=[date(1840 + i, 1, 1) for i in range(4)],
-        )
-        slope, intercept, r2 = pub_read_regression(records)
-        assert slope == pytest.approx(1.0)
-        assert r2 == pytest.approx(1.0)
-
-    def test_constant_pub_year(self):
-        records = make_records(
-            pub_years=[1840] * 4, read_dates=[date(1841 + i, 1, 1) for i in range(4)]
-        )
-        slope, _, r2 = pub_read_regression(records)
-        assert slope == 0.0 and r2 == 0.0
-
-    def test_four_point_hand_ols(self):
-        records = make_records(
-            pub_years=[1999, 2001, 2000, 2002],
-            read_dates=[date(2000 + i, 1, 1) for i in range(4)],
-        )
-        slope, intercept, r2 = pub_read_regression(records)
-        assert slope == pytest.approx(0.8, abs=1e-12)
-        assert intercept == pytest.approx(399.3, abs=1e-9)
-        assert r2 == pytest.approx(0.64, abs=1e-12)
-
-    def test_identical_dates_rejected(self):
-        records = make_records(pub_years=[1840, 1841], read_dates=[date(1850, 1, 1)] * 2)
-        with pytest.raises(ValueError):
-            pub_read_regression(records)
-
-    def test_too_few_records_rejected(self):
-        with pytest.raises(ValueError):
-            pub_read_regression(make_records(pub_years=[1840]))

@@ -16,7 +16,6 @@ from readpath.topics import (
     save_model,
     sweep_k,
     sweep_kernel,
-    theta_row,
     train,
 )
 
@@ -328,25 +327,6 @@ class TestChunks:
         assert len(built) == 1
         for a in built[0]:
             assert a.dtype == np.int32 and not a.flags.writeable
-
-
-class TestThetaRow:
-    def test_shape_sum_and_copy(self, rng):
-        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
-        model = train(matrix, PARAMS)
-        row = theta_row(model, 0)
-        assert row.shape == (2,)
-        assert abs(row.sum() - 1.0) < 1e-9
-        row[:] = 0.5  # mutating the copy must not touch the model
-        assert model.theta[0].sum() > 0.999
-
-    def test_out_of_range(self, rng):
-        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
-        model = train(matrix, PARAMS)
-        with pytest.raises(IndexError):
-            theta_row(model, 8)
-        with pytest.raises(IndexError):
-            theta_row(model, -1)
 
 
 class TestSweepK:
