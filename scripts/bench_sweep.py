@@ -10,7 +10,7 @@ SHA-256 over every model's theta and phi bytes, so two source trees can be
 compared for speed and for identical results.
 
 Usage:
-    PYTHONPATH=src python scripts/bench_sweep.py --corpus out/corpus.json --k-list 80 --sweeps 40
+    PYTHONPATH=src python scripts/bench_sweep.py --corpus out --k-list 80 --sweeps 40
     PYTHONPATH=src python scripts/bench_sweep.py --zipf 75,40000,30000 --k-list 80 --sweeps 100
 
 ``--zipf D,N,V`` draws D documents of N tokens each from a Zipf(1) law over
@@ -28,11 +28,13 @@ import json
 import resource
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
 from readpath import topics
-from readpath.corpus import CorpusMatrix, load_cache
+from readpath.corpus import CorpusMatrix
+from readpath.exports import load_cache
 
 
 def zipf_corpus(n_docs: int, doc_tokens: int, n_vocab: int, seed: int) -> CorpusMatrix:
@@ -73,7 +75,7 @@ def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> f
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--corpus", help="corpus.json written by `readpath ingest`")
+    src.add_argument("--corpus", help="output directory of `readpath ingest` (its corpus cache)")
     src.add_argument("--zipf", help="D,N,V: D documents of N tokens over V words")
     ap.add_argument("--k-list", default="80")
     ap.add_argument("--sweeps", type=int, default=40)
@@ -84,7 +86,7 @@ def main() -> None:
     args = ap.parse_args()
 
     if args.corpus:
-        corpus = load_cache(args.corpus)[2]
+        corpus = load_cache(Path(args.corpus))[2]
     else:
         n_docs, doc_tokens, n_vocab = (int(x) for x in args.zipf.split(","))
         corpus = zipf_corpus(n_docs, doc_tokens, n_vocab, args.seed)

@@ -9,9 +9,9 @@ can be overridden with a flag of the same dotted name, e.g.
 ``--run.out``, ``--run.seed``, ``--topics.k``, ``--null.samples`` and
 ``--run.threads``, applied before the dotted names.
 
-Every export is written through `exports`, which owns the file names and
-formats. All exports are byte-deterministic for a fixed (inputs, config,
-seed); wall-clock timestamps appear only in the *.meta.json sidecars.
+Every artifact is written and read through `exports`, which owns the file
+names and formats. All exports are byte-deterministic for a fixed (inputs,
+config, seed); wall-clock timestamps appear only in the *.meta.json sidecars.
 """
 
 from __future__ import annotations
@@ -85,83 +85,47 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-# --------------------------------------------------------------------------
-# artifact locations and loading
-
-def _corpus_path(cfg: RunConfig) -> Path:
-    return cfg.out / "corpus.json"
-
-
-def _kdir(cfg: RunConfig, k: int) -> Path:
-    return cfg.out / f"k{k}"
-
-
-def _require(path: Path, what: str, hint: str) -> Path:
-    if not path.exists():
-        raise InputError(f"missing {what}: {path} (run `readpath {hint}` first)")
-    return path
-
-
-def _load_corpus(cfg: RunConfig):
-    return corpus_mod.load_cache(_require(_corpus_path(cfg), "corpus cache", "ingest"))
+def _kdirs(cfg: RunConfig) -> list[Path]:
+    """The bundle directory of each k of ``topics.k_list``, in its order."""
+    return [cfg.out / f"k{k}" for k in cfg.k_list]
 
 
 def _load_stage_corpus(cfg: RunConfig):
     """The cached records and the corpus fingerprint that every model a
-    stage loads must carry."""
-    records, vocab, matrix = _load_corpus(cfg)
-    return records, corpus_mod.corpus_fingerprint(vocab, matrix)
-
-
-def _load_model(cfg: RunConfig, k: int, records, fingerprint: str) -> topics_mod.TopicModel:
-    path = _require(_kdir(cfg, k) / "model.bin", "topic model", "train")
-    model = topics_mod.load_model(path)
-    if model.theta.shape[0] != len(records):
-        raise InputError(
-            f"stale topic model {path}: {model.theta.shape[0]} documents, corpus has {len(records)}"
-        )
-    if model.corpus_fingerprint != fingerprint:
-        raise InputError(
-            f"stale topic model {path}: trained on another corpus than {_corpus_path(cfg)}"
-            " (re-run `readpath train`)"
-        )
-    return model
+    stage loads must carry. The vocabulary and counts are freed on return:
+    held for the whole stage, they stay resident under its peak."""
+    records, _, _, fingerprint = exports_mod.load_cache(cfg.out)
+    return records, fingerprint
 
 
 # --------------------------------------------------------------------------
 # pipeline steps (each writes its exports and returns its results)
 
-def cmd_ingest(cfg: RunConfig) -> str:
-    """Write the corpus cache and print its counts; returns the corpus
-    fingerprint."""
+def cmd_ingest(cfg: RunConfig) -> None:
+    """Write the corpus cache and print its counts."""
     if cfg.manifest is None:
         raise InputError("corpus.manifest is required for ingest")
     records = corpus_mod.load_manifest(cfg.manifest)
     vocab, matrix = corpus_mod.build_corpus(records, cfg.tokenizer_config())
     cfg.out.mkdir(parents=True, exist_ok=True)
-    fingerprint = corpus_mod.save_cache(_corpus_path(cfg), records, vocab, matrix)
+    exports_mod.save_cache(cfg.out, records, vocab, matrix)
     print(json.dumps(corpus_mod.ingest_stats(vocab, matrix), sort_keys=True))
-    return fingerprint
 
 
-def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> dict[int, topics_mod.TopicModel]:
+def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> list[topics_mod.TopicModel]:
     models = topics_mod.sweep_k(
         matrix, cfg.k_list, cfg.topic_params(), fingerprint=fingerprint, threads=cfg.threads
     )
-    out = {}
-    for model in models:
-        kdir = _kdir(cfg, model.k)
+    for kdir, model in zip(_kdirs(cfg), models):
         kdir.mkdir(parents=True, exist_ok=True)
-        topics_mod.save_model(kdir / "model.bin", model)
-        exports_mod.write_model_meta(kdir, model)
-        out[model.k] = model
+        exports_mod.save_model(kdir, model)
         _note(f"trained k={model.k}")
-    return out
+    return models
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    _, vocab, matrix = _load_corpus(cfg)
-    _train_models(cfg, matrix, corpus_mod.corpus_fingerprint(vocab, matrix))
+    _, _, matrix, fingerprint = exports_mod.load_cache(cfg.out)
+    _train_models(cfg, matrix, fingerprint)
 
 
 def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -178,8 +142,8 @@ def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.Surpris
 
 def cmd_surprise(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
-    for k in cfg.k_list:
-        _step_surprise(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), records)
+    for kdir in _kdirs(cfg):
+        _step_surprise(kdir, exports_mod.load_model(kdir, len(records), fingerprint), records)
 
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
@@ -191,8 +155,8 @@ def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.N
 def cmd_null(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     perms = null_mod.null_permutations(records, cfg.null_config())
-    for k in cfg.k_list:
-        _step_null(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), perms, cfg)
+    for kdir in _kdirs(cfg):
+        _step_null(kdir, exports_mod.load_model(kdir, len(records), fingerprint), perms, cfg)
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -206,8 +170,8 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
 
 def cmd_puborder(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
-    for k in cfg.k_list:
-        _step_puborder(_kdir(cfg, k), _load_model(cfg, k, records, fingerprint), records, cfg)
+    for kdir in _kdirs(cfg):
+        _step_puborder(kdir, exports_mod.load_model(kdir, len(records), fingerprint), records, cfg)
 
 
 def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
@@ -223,18 +187,18 @@ def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str
 
 def cmd_greedy(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
-    for k in cfg.k_list:
-        model = _load_model(cfg, k, records, fingerprint)
-        _step_greedy(_kdir(cfg, k), model, records, cfg, paths_mod.divergence_matrix(model.theta))
+    for kdir in _kdirs(cfg):
+        model = exports_mod.load_model(kdir, len(records), fingerprint)
+        _step_greedy(kdir, model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
 def cmd_ranks(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     perms = null_mod.null_permutations(records, cfg.null_config())
-    for k in cfg.k_list:
-        matrix = paths_mod.divergence_matrix(_load_model(cfg, k, records, fingerprint).theta)
+    for kdir in _kdirs(cfg):
+        matrix = paths_mod.divergence_matrix(exports_mod.load_model(kdir, len(records), fingerprint).theta)
         ranks = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
-        exports_mod.write_ranks(_kdir(cfg, k), ranks)
+        exports_mod.write_ranks(kdir, ranks)
 
 
 def _series_dates(records) -> list:
@@ -285,9 +249,9 @@ def _step_epochs(
 def cmd_epochs(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     placements = _placements(records, cfg)
-    for k in cfg.k_list:
-        model = _load_model(cfg, k, records, fingerprint)
-        _step_epochs(_kdir(cfg, k), _reading_series(model), records, cfg, None, placements)
+    for kdir in _kdirs(cfg):
+        model = exports_mod.load_model(kdir, len(records), fingerprint)
+        _step_epochs(kdir, _reading_series(model), records, cfg, None, placements)
 
 
 def cmd_run(cfg: RunConfig) -> None:
@@ -297,24 +261,20 @@ def cmd_run(cfg: RunConfig) -> None:
     stage_rss = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with _timed(stage_s, stage_rss, "ingest"):
-        fingerprint = None
-        if not _corpus_path(cfg).exists():
+        if not exports_mod.corpus_cached(cfg.out):
             if cfg.manifest is None:
                 raise InputError("no corpus cache and no corpus.manifest configured")
-            fingerprint = cmd_ingest(cfg)
-        # The models train on the reloaded cache, the same counts that ingest
+            cmd_ingest(cfg)
+        # The models train on the reloaded cache, the counts that ingest
         # fingerprinted; keeping the ingested objects instead raises peak RSS.
-        records, vocab, matrix = _load_corpus(cfg)
+        records, _, matrix, fingerprint = exports_mod.load_cache(cfg.out)
     with _timed(stage_s, stage_rss, "train"):
-        if fingerprint is None:
-            fingerprint = corpus_mod.corpus_fingerprint(vocab, matrix)
         models = _train_models(cfg, matrix, fingerprint)
     with _timed(stage_s, stage_rss, "null"):
         perms = null_mod.null_permutations(records, cfg.null_config())
 
     placements = None
-    for k, model in models.items():
-        kdir = _kdir(cfg, k)
+    for kdir, model in zip(_kdirs(cfg), models):
         with _timed(stage_s, stage_rss, "surprise"):
             series = _step_surprise(kdir, model, records)
         with _timed(stage_s, stage_rss, "null"):
@@ -344,9 +304,9 @@ def cmd_run(cfg: RunConfig) -> None:
             epoch_info = _step_epochs(kdir, series, records, cfg, nulls, placements)
 
         exports_mod.write_summary(
-            kdir, k, len(records), cfg.seed, series, nulls, greedy, puborder, epoch_info, ranks
+            kdir, model.k, len(records), cfg.seed, series, nulls, greedy, puborder, epoch_info, ranks
         )
-        exports_mod.write_manifest(kdir, k, cfg.export_matrix)
+        exports_mod.write_manifest(kdir, model.k, cfg.export_matrix)
         _note(f"bundle complete: {kdir}")
 
     exports_mod.write_run_meta(
@@ -364,24 +324,6 @@ def cmd_run(cfg: RunConfig) -> None:
     # touches memory of its own: on top of pages still resident from the
     # run, it set the process's peak 0.5-0.7 MB above `peak_rss_mb`.
     _release_free_heap()
-
-
-def _check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
-    """Every series and publication-order sidecar of a bundle must name the
-    corpus fingerprint its model was trained on."""
-    model_meta = bundle / "model.meta.json"
-    if not model_meta.exists():
-        raise InputError(f"bundle is missing {model_meta.name}: {bundle}")
-    expected = exports_mod.load_bundle_json(model_meta).get("corpus_fingerprint")
-    for name in files:
-        if name.startswith(("series_", "puborder_")) and name.endswith(".meta.json"):
-            found = exports_mod.load_bundle_json(bundle / name).get("model_fingerprint")
-            if found != expected:
-                raise InputError(
-                    f"bundle file {bundle / name}: model_fingerprint {found!r} differs from "
-                    f"corpus_fingerprint {expected!r} in {model_meta.name}; it was computed "
-                    "from another model (re-run `readpath run`)"
-                )
 
 
 def _report_lines(summary: dict) -> list[str]:
@@ -435,7 +377,7 @@ def cmd_report(bundle: Path) -> None:
     for name in files:
         if not (bundle / name).exists():
             raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
-    _check_bundle_fingerprints(bundle, files)
+    exports_mod.check_bundle_fingerprints(bundle, files)
     summary_path = bundle / "summary.json"
     summary = exports_mod.load_bundle_json(summary_path)
     try:

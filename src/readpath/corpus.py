@@ -4,16 +4,15 @@ A corpus starts from a CSV manifest describing an ordered reading list
 (one row per volume: identity, date read, publication year, path to the
 plain text). Texts are tokenized with a fixed normalization pipeline,
 globally frequency-filtered, and packed into an immutable sparse
-count matrix whose row order is the reading order.
+count matrix whose row order is the reading order. `exports` writes and
+reads the corpus cache that later stages reload.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
-import json
 import re
 import unicodedata
 from collections import Counter
@@ -25,8 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, read_text
-
-CACHE_FORMAT_VERSION = 1
 
 MANIFEST_COLUMNS = ("id", "title", "read_date", "pub_year", "text_path")
 
@@ -322,135 +319,3 @@ def ingest_stats(vocab: Vocabulary, matrix: CorpusMatrix) -> dict:
         "tokens": int(sum(vocab.frequencies)),
         "vocabulary": len(vocab),
     }
-
-
-def canonical_json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-# The arrays that the fingerprint covers, in the key order of its canonical
-# JSON. The cache file holds them in the same order (the documents' counts,
-# indices and indptr, then the vocabulary's tokens), so `save_cache` hashes
-# each one as it writes it.
-_FINGERPRINTED = ("counts", "indices", "indptr", "tokens")
-
-
-def _array_json(vocab: Vocabulary, matrix: CorpusMatrix, key: str) -> bytes:
-    return canonical_json_bytes(list(vocab.tokens) if key == "tokens" else getattr(matrix, key).tolist())
-
-
-def _fingerprint(pieces) -> str:
-    """SHA-256 of the canonical JSON object of the ``pieces``, (key, encoded
-    array) pairs in `_FINGERPRINTED` order; each is dropped once hashed."""
-    digest = hashlib.sha256()
-    for i, (key, piece) in enumerate(pieces):
-        digest.update((b"," if i else b"{") + canonical_json_bytes(key) + b":")
-        digest.update(piece)
-    digest.update(b"}")
-    return digest.hexdigest()
-
-
-def corpus_fingerprint(vocab: Vocabulary, matrix: CorpusMatrix) -> str:
-    """SHA-256 over the canonical serialization of vocabulary + counts."""
-    return _fingerprint((key, _array_json(vocab, matrix, key)) for key in _FINGERPRINTED)
-
-
-def save_cache(path: Path | str, records: list[VolumeRecord], vocab: Vocabulary, matrix: CorpusMatrix) -> str:
-    """Write the corpus artifact as canonical JSON (byte-stable across runs)
-    and return its `corpus_fingerprint`, both from one encoding of each
-    array, held one at a time."""
-    records_json = canonical_json_bytes([
-        {
-            "id": r.id,
-            "title": r.title,
-            "read_date": r.read_date.isoformat(),
-            "read_seq": r.read_seq,
-            "pub_year": r.pub_year,
-            "text_path": str(r.text_path),
-        }
-        for r in records
-    ])
-    # The file's text before each fingerprinted array: the canonical JSON
-    # of the cache payload, keys sorted at every level.
-    before = {
-        "counts": b'{"documents":{"counts":',
-        "indices": b',"indices":',
-        "indptr": b',"indptr":',
-        "tokens": b'},"format_version":' + canonical_json_bytes(CACHE_FORMAT_VERSION)
-        + b',"kind":"corpus-cache","records":' + records_json
-        + b',"vocabulary":{"frequencies":' + canonical_json_bytes(list(vocab.frequencies))
-        + b',"tokens":',
-    }
-    with open(path, "wb") as fh:
-
-        def written():
-            for key in _FINGERPRINTED:
-                piece = _array_json(vocab, matrix, key)
-                fh.write(before[key])
-                fh.write(piece)
-                yield key, piece
-
-        fingerprint = _fingerprint(written())
-        fh.write(b"}}")
-    return fingerprint
-
-
-def load_cache(path: Path | str) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix]:
-    """Read a `save_cache` artifact. A payload that is not the cache's shape,
-    or records out of reading order (dates not nondecreasing, or a
-    ``read_seq`` other than the record's position), is an InputError naming
-    the file."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"corpus cache not found: {path}")
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"corpus cache {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError(f"corpus cache {path} is not a JSON object")
-    if payload.get("kind") != "corpus-cache" or payload.get("format_version") != CACHE_FORMAT_VERSION:
-        raise InputError(f"corpus cache {path}: unsupported format tag")
-    try:
-        records = [
-            VolumeRecord(
-                id=r["id"],
-                title=r["title"],
-                read_date=date.fromisoformat(r["read_date"]),
-                read_seq=int(r["read_seq"]),
-                pub_year=int(r["pub_year"]),
-                text_path=r["text_path"],
-            )
-            for r in payload["records"]
-        ]
-        vocab = Vocabulary(
-            tokens=tuple(payload["vocabulary"]["tokens"]),
-            frequencies=tuple(payload["vocabulary"]["frequencies"]),
-        )
-        docs = payload["documents"]
-        matrix = CorpusMatrix(
-            indptr=np.asarray(docs["indptr"], dtype=np.int64),
-            indices=np.asarray(docs["indices"], dtype=np.int64),
-            counts=np.asarray(docs["counts"], dtype=np.int64),
-            n_vocab=len(vocab),
-        )
-    except KeyError as exc:
-        raise InputError(f"malformed corpus cache {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed corpus cache {path}: {exc}") from exc
-    if len(records) != matrix.n_docs:
-        raise InputError(
-            f"malformed corpus cache {path}: {len(records)} records for {matrix.n_docs} documents"
-        )
-    for i, rec in enumerate(records):
-        if rec.read_seq != i:
-            raise InputError(
-                f"malformed corpus cache {path}: record {rec.id!r} at position {i} "
-                f"has read_seq {rec.read_seq}"
-            )
-        if i and rec.read_date < records[i - 1].read_date:
-            raise InputError(
-                f"malformed corpus cache {path}: record {rec.id!r} read on {rec.read_date} after "
-                f"{records[i - 1].id!r} read on {records[i - 1].read_date}; records must be in reading order"
-            )
-    return records, vocab, matrix

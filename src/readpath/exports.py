@@ -1,11 +1,15 @@
-"""Every export's file name, format and writer, and the readers of the
-exports that later stages load back; the compute modules write nothing.
+"""Every artifact's file name, format, writer and reader; the compute
+modules write no file and read no artifact. The two artifacts that every
+stage reloads, ``corpus.json`` and ``model.bin``, each get a sidecar
+(``corpus.meta.json``, ``model.meta.json``) recording the sha256 of their
+bytes, which the reader checks before it parses.
 
-JSON (`write_json`): sorted keys, indent 2, a trailing newline, ``null``
-for a non-finite entry of a float array. CSV (`_write_csv`): a header row, then
-``csv.writer`` rows (``\\r\\n`` ends), a float as ``repr(float)`` and an
-empty cell for a non-finite one. Each writer takes the bundle directory
-(``out/k<K>``) and names its own files, one per kind where there are kinds.
+JSON exports (`write_json`): sorted keys, indent 2, a trailing newline,
+``null`` for a non-finite entry of a float array. CSV (`_write_csv`): a
+header row, then ``csv.writer`` rows (``\\r\\n`` ends), a float as
+``repr(float)`` and an empty cell for a non-finite one. Each writer takes
+its directory (the output directory, or the bundle directory ``out/k<K>``)
+and names its own files, one per kind where there are kinds.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as _dt
+import hashlib
 import io
 import itertools
 import json
@@ -21,8 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import CorpusMatrix, Vocabulary, VolumeRecord
 from .errors import InputError, read_text
+from .topics import TopicModel, TopicModelParams
 
+CACHE_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 1
 SUMMARY_FORMAT_VERSION = 1
 
 # The entries of the epochs_*.json and ranks.json payloads that summary.json
@@ -66,7 +75,203 @@ def bundle_files(export_matrix: bool) -> list[str]:
     return sorted(names + ["matrix.csv"] * export_matrix)
 
 
-def write_model_meta(kdir: Path, model) -> None:
+def _require(path: Path, what: str, hint: str) -> Path:
+    if not path.exists():
+        raise InputError(f"missing {what}: {path} (run `readpath {hint}` first)")
+    return path
+
+
+def _json_object(path: Path, text: str | bytes, what: str) -> dict:
+    """``text``, the content of ``path``, as a JSON object; anything else is
+    an InputError naming the file as ``what``."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"{what} {path} is not a JSON object")
+    return payload
+
+
+def _check_digest(path: Path, meta_path: Path, command: str, pieces, *keys: str) -> dict:
+    """The payload of ``path``'s sidecar ``meta_path``, which must hold a
+    string under each of ``keys``, the first the sha256 of ``pieces`` (the
+    file's bytes in order); else an InputError naming both files."""
+    if not meta_path.exists():
+        raise InputError(f"{path} has no sidecar {meta_path} with its sha256 (re-run `readpath {command}`)")
+    meta = _json_object(meta_path, read_text(meta_path), f"{path.name} sidecar")
+    if not all(isinstance(meta.get(key), str) for key in keys):
+        raise InputError(f"{path.name} sidecar {meta_path} lacks a string {' or '.join(keys)}")
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    if digest.hexdigest() != meta[keys[0]]:
+        raise InputError(
+            f"{path} does not have the sha256 that {meta_path} records: it changed after "
+            f"`readpath {command}` wrote it (re-run `readpath {command}`)"
+        )
+    return meta
+
+
+def canonical_json_bytes(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# The arrays that the corpus fingerprint covers, in the key order of its
+# canonical JSON. The cache file holds them in the same order (the
+# documents' counts, indices and indptr, then the vocabulary's tokens), so
+# `save_cache` hashes each one as it writes it.
+_FINGERPRINTED = ("counts", "indices", "indptr", "tokens")
+
+
+def _array_json(vocab: Vocabulary, matrix: CorpusMatrix, key: str) -> bytes:
+    return canonical_json_bytes(list(vocab.tokens) if key == "tokens" else getattr(matrix, key).tolist())
+
+
+def _fingerprint(pieces) -> str:
+    """SHA-256 of the canonical JSON object of the ``pieces``, (key, encoded
+    array) pairs in `_FINGERPRINTED` order; each is dropped once hashed."""
+    digest = hashlib.sha256()
+    for i, (key, piece) in enumerate(pieces):
+        digest.update((b"," if i else b"{") + canonical_json_bytes(key) + b":")
+        digest.update(piece)
+    digest.update(b"}")
+    return digest.hexdigest()
+
+
+def corpus_cached(out: Path) -> bool:
+    return (out / "corpus.json").exists()
+
+
+def save_cache(out: Path, records: list[VolumeRecord], vocab: Vocabulary, matrix: CorpusMatrix) -> None:
+    """``corpus.json``, the corpus as canonical JSON (byte-stable across
+    runs), and ``corpus.meta.json``, its sha256 and the corpus fingerprint
+    (the SHA-256 of the canonical JSON of the tokens and the counts), all
+    from one encoding of each array, held one at a time."""
+    records_json = canonical_json_bytes([
+        {
+            "id": r.id,
+            "title": r.title,
+            "read_date": r.read_date.isoformat(),
+            "read_seq": r.read_seq,
+            "pub_year": r.pub_year,
+            "text_path": str(r.text_path),
+        }
+        for r in records
+    ])
+    # The file's text before each fingerprinted array: the canonical JSON
+    # of the cache payload, keys sorted at every level.
+    before = {
+        "counts": b'{"documents":{"counts":',
+        "indices": b',"indices":',
+        "indptr": b',"indptr":',
+        "tokens": b'},"format_version":' + canonical_json_bytes(CACHE_FORMAT_VERSION)
+        + b',"kind":"corpus-cache","records":' + records_json
+        + b',"vocabulary":{"frequencies":' + canonical_json_bytes(list(vocab.frequencies))
+        + b',"tokens":',
+    }
+    file_digest = hashlib.sha256()
+    with open(out / "corpus.json", "wb") as fh:
+
+        def written():
+            for key in _FINGERPRINTED:
+                piece = _array_json(vocab, matrix, key)
+                for chunk in (before[key], piece):
+                    fh.write(chunk)
+                    file_digest.update(chunk)
+                yield key, piece
+
+        fingerprint = _fingerprint(written())
+        fh.write(b"}}")
+        file_digest.update(b"}}")
+    write_json(
+        out / "corpus.meta.json",
+        {"corpus_fingerprint": fingerprint, "corpus_sha256": file_digest.hexdigest()},
+    )
+
+
+def load_cache(out: Path) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix, str]:
+    """The records, vocabulary and counts of ``corpus.json``, and the corpus
+    fingerprint its checked sidecar records. A payload that is not the
+    cache's shape, or records out of reading order (dates not
+    nondecreasing, or a ``read_seq`` other than the record's position), is
+    an InputError naming the file."""
+    path = _require(out / "corpus.json", "corpus cache", "ingest")
+    text = read_text(path, newline="")
+    meta = _check_digest(
+        path, out / "corpus.meta.json", "ingest", [text.encode("utf-8")], "corpus_sha256", "corpus_fingerprint"
+    )
+    payload = _json_object(path, text, "corpus cache")
+    del text
+    if payload.get("kind") != "corpus-cache" or payload.get("format_version") != CACHE_FORMAT_VERSION:
+        raise InputError(f"corpus cache {path}: unsupported format tag")
+    try:
+        records = [
+            VolumeRecord(
+                id=r["id"],
+                title=r["title"],
+                read_date=_dt.date.fromisoformat(r["read_date"]),
+                read_seq=int(r["read_seq"]),
+                pub_year=int(r["pub_year"]),
+                text_path=r["text_path"],
+            )
+            for r in payload["records"]
+        ]
+        vocab = Vocabulary(
+            tokens=tuple(payload["vocabulary"]["tokens"]),
+            frequencies=tuple(payload["vocabulary"]["frequencies"]),
+        )
+        docs = payload["documents"]
+        matrix = CorpusMatrix(
+            indptr=np.asarray(docs["indptr"], dtype=np.int64),
+            indices=np.asarray(docs["indices"], dtype=np.int64),
+            counts=np.asarray(docs["counts"], dtype=np.int64),
+            n_vocab=len(vocab),
+        )
+    except KeyError as exc:
+        raise InputError(f"malformed corpus cache {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed corpus cache {path}: {exc}") from exc
+    if len(records) != matrix.n_docs:
+        raise InputError(
+            f"malformed corpus cache {path}: {len(records)} records for {matrix.n_docs} documents"
+        )
+    for i, rec in enumerate(records):
+        if rec.read_seq != i:
+            raise InputError(
+                f"malformed corpus cache {path}: record {rec.id!r} at position {i} "
+                f"has read_seq {rec.read_seq}"
+            )
+        if i and rec.read_date < records[i - 1].read_date:
+            raise InputError(
+                f"malformed corpus cache {path}: record {rec.id!r} read on {rec.read_date} after "
+                f"{records[i - 1].id!r} read on {records[i - 1].read_date}; records must be in reading order"
+            )
+    return records, vocab, matrix, meta["corpus_fingerprint"]
+
+
+def save_model(kdir: Path, model: TopicModel) -> None:
+    """``model.bin``, one canonical-JSON header line and then theta and phi as
+    row-major float64 bytes (no timestamps, so identical models serialize
+    to identical bytes), and ``model.meta.json``, which records its sha256."""
+    header = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "kind": "topic-model",
+        "d": model.theta.shape[0],
+        "k": model.theta.shape[1],
+        "v": model.phi.shape[1],
+        "params": dataclasses.asdict(model.params),
+        "corpus_fingerprint": model.corpus_fingerprint,
+    }
+    digest = hashlib.sha256()
+    with open(kdir / "model.bin", "wb") as fh:
+        for piece in (
+            canonical_json_bytes(header) + b"\n",
+            np.ascontiguousarray(model.theta, dtype=np.float64),
+            np.ascontiguousarray(model.phi, dtype=np.float64),
+        ):
+            fh.write(piece)
+            digest.update(piece)
     write_json(
         kdir / "model.meta.json",
         {
@@ -75,8 +280,46 @@ def write_model_meta(kdir: Path, model) -> None:
             "seed": model.params.seed,
             "iterations": model.params.iterations,
             "corpus_fingerprint": model.corpus_fingerprint,
+            "model_sha256": digest.hexdigest(),
         },
     )
+
+
+def load_model(kdir: Path, n_docs: int, corpus_fingerprint: str) -> TopicModel:
+    """The model of ``kdir``, which must have been trained on the corpus of
+    ``n_docs`` documents and ``corpus_fingerprint``. A malformed header, a
+    body of the wrong size or one that breaks the model's invariants (rows
+    on the simplex, strictly positive) is an InputError naming the file."""
+    path = _require(kdir / "model.bin", "topic model", "train")
+    with open(path, "rb") as fh:
+        header_line, body = fh.readline(), fh.read()
+    _check_digest(path, kdir / "model.meta.json", "train", [header_line, body], "model_sha256")
+    header = _json_object(path, header_line, "model artifact")
+    if header.get("kind") != "topic-model" or header.get("format_version") != MODEL_FORMAT_VERSION:
+        raise InputError(f"model artifact {path}: unsupported format tag")
+    try:
+        d, k, v = (int(header[key]) for key in ("d", "k", "v"))
+        params = TopicModelParams(**header["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"model artifact {path}: bad header entry {exc}") from exc
+    if len(body) != (d * k + k * v) * 8:
+        raise InputError(
+            f"model artifact {path}: {len(body)} bytes after the header, expected "
+            f"{(d * k + k * v) * 8} for d={d}, k={k}, v={v} (truncated or oversized)"
+        )
+    if d != n_docs:
+        raise InputError(f"stale topic model {path}: {d} documents, corpus has {n_docs}")
+    if header.get("corpus_fingerprint") != corpus_fingerprint:
+        raise InputError(
+            f"stale topic model {path}: trained on another corpus than the one corpus.meta.json"
+            " records (re-run `readpath train`)"
+        )
+    theta = np.frombuffer(body, dtype=np.float64, count=d * k).reshape(d, k)
+    phi = np.frombuffer(body, dtype=np.float64, offset=d * k * 8).reshape(k, v)
+    try:
+        return TopicModel(theta=theta, phi=phi, params=params, corpus_fingerprint=corpus_fingerprint)
+    except ValueError as exc:
+        raise InputError(f"corrupted model artifact {path}: {exc}") from exc
 
 
 def write_series(kdir: Path, stem: str, series: dict, doc_ids: list[str], dates: list[str],
@@ -270,10 +513,20 @@ def write_run_meta(out: Path, telemetry: dict) -> None:
 
 def load_bundle_json(path: Path) -> dict:
     """A bundle's JSON file as a dict; anything else is an input error."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed bundle file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputError(f"malformed bundle file {path}: not a JSON object")
-    return payload
+    return _json_object(path, read_text(path), "bundle file")
+
+
+def check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
+    """Every series and publication-order sidecar of a bundle must name the
+    corpus fingerprint its model was trained on."""
+    model_meta = bundle / "model.meta.json"
+    expected = load_bundle_json(model_meta).get("corpus_fingerprint")
+    for name in files:
+        if name.startswith(("series_", "puborder_")) and name.endswith(".meta.json"):
+            found = load_bundle_json(bundle / name).get("model_fingerprint")
+            if found != expected:
+                raise InputError(
+                    f"bundle file {bundle / name}: model_fingerprint {found!r} differs from "
+                    f"corpus_fingerprint {expected!r} in {model_meta.name}; it was computed "
+                    "from another model (re-run `readpath run`)"
+                )

@@ -26,6 +26,7 @@ int32 too, so a corpus of 2**31 or more tokens is an InputError. The
 initial topics and each sweep's uniforms are drawn `_CHUNK` tokens at a
 time, the kernel is called once per chunk, and chunked draws are the same
 numbers as one whole draw: the chunk size changes no bit of a model.
+`exports` writes and reads a model's artifact.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import ctypes
 import dataclasses
 import functools
 import hashlib
-import json
 import os
 import platform
 import subprocess
@@ -47,8 +47,6 @@ import numpy as np
 
 from .corpus import CorpusMatrix
 from .errors import InputError
-
-MODEL_FORMAT_VERSION = 1
 
 ROW_SUM_TOL = 1e-9
 
@@ -282,61 +280,3 @@ def sweep_k(
             }
             return [futures[p].result() for p in all_params]
     return [train(corpus, p, fingerprint, streams) for p in all_params]
-
-
-def save_model(path: Path | str, model: TopicModel) -> None:
-    """Single binary artifact: one JSON header line, then theta and phi as
-    row-major float64 bytes. Contains no timestamps, so identical models
-    serialize to identical bytes."""
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "topic-model",
-        "d": model.theta.shape[0],
-        "k": model.theta.shape[1],
-        "v": model.phi.shape[1],
-        "params": dataclasses.asdict(model.params),
-        "corpus_fingerprint": model.corpus_fingerprint,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(model.theta, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(model.phi, dtype=np.float64).tobytes())
-
-
-def load_model(path: Path | str) -> TopicModel:
-    """Read a `save_model` artifact. A malformed header, a body of the wrong
-    size or a body that breaks the model's invariants (rows on the simplex,
-    strictly positive) is an InputError naming the file."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"model artifact not found: {path}")
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InputError(f"model artifact {path}: bad header") from exc
-        if not isinstance(header, dict):
-            raise InputError(f"model artifact {path}: bad header")
-        if header.get("kind") != "topic-model" or header.get("format_version") != MODEL_FORMAT_VERSION:
-            raise InputError(f"model artifact {path}: unsupported format tag")
-        try:
-            d, k, v = (int(header[key]) for key in ("d", "k", "v"))
-            params = TopicModelParams(**header["params"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"model artifact {path}: bad header entry {exc}") from exc
-        body = fh.read()
-    if len(body) != (d * k + k * v) * 8:
-        raise InputError(
-            f"model artifact {path}: {len(body)} bytes after the header, expected "
-            f"{(d * k + k * v) * 8} for d={d}, k={k}, v={v} (truncated or oversized)"
-        )
-    theta = np.frombuffer(body, dtype=np.float64, count=d * k).reshape(d, k)
-    phi = np.frombuffer(body, dtype=np.float64, offset=d * k * 8).reshape(k, v)
-    try:
-        return TopicModel(
-            theta=theta, phi=phi, params=params, corpus_fingerprint=header.get("corpus_fingerprint", "")
-        )
-    except ValueError as exc:
-        raise InputError(f"corrupted model artifact {path}: {exc}") from exc

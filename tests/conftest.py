@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -31,6 +33,16 @@ def make_records(pub_years, read_years=None, read_dates=None) -> list[VolumeReco
         )
         for i in range(n)
     ]
+
+
+def restamp(path: Path) -> None:
+    """Record ``path``'s current sha256 in its digest sidecar (``corpus.json``
+    in ``corpus.meta.json``, ``model.bin`` in ``model.meta.json``), so that a
+    test that damages the artifact reaches the check behind the digest."""
+    meta = path.with_name(f"{path.stem}.meta.json")
+    payload = json.loads(meta.read_text(encoding="utf-8"))
+    payload[f"{path.stem}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    meta.write_text(json.dumps(payload), encoding="utf-8")
 
 
 def write_manifest(tmp_path: Path, rows, texts: dict[str, str]) -> Path:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import readpath
-from readpath import epochs, nullmodel, paths, surprise, topics
+from readpath import epochs, exports, nullmodel, paths, surprise, topics
 from readpath.cli import main
 
-from conftest import build_demo, hide_cc
+from conftest import build_demo, hide_cc, restamp
 
 DEMO_SAMPLES = 50  # [null] samples in the build_demo config
+STAGE_COMMANDS = ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs")
 
 
 class TestIngest:
@@ -177,7 +178,8 @@ class TestStagedPipeline:
         assert "matrix.csv" in json.loads((kdir / "manifest.json").read_text())["files"]
         rows = (kdir / "matrix.csv").read_text(encoding="utf-8").splitlines()
         parsed = np.array([[float(x) for x in row.split(",")[1:]] for row in rows[1:]])
-        expected = paths.divergence_matrix(topics.load_model(kdir / "model.bin").theta)
+        records, _, _, fingerprint = exports.load_cache(tmp_path / "out")
+        expected = paths.divergence_matrix(exports.load_model(kdir, len(records), fingerprint).theta)
         np.testing.assert_array_equal(parsed, expected)
 
 
@@ -284,6 +286,7 @@ class TestArtifactChecks:
         model = tmp_path / "out" / "k2" / "model.bin"
         data = model.read_bytes()
         model.write_bytes(data[:-100] if edit == "truncated" else data + bytes(8))
+        restamp(model)
         capsys.readouterr()
         assert main(["surprise", "--config", str(cfg)]) == 1
         assert "model.bin" in capsys.readouterr().err
@@ -301,6 +304,7 @@ class TestArtifactChecks:
         else:
             data[theta:theta + 8] = b"\xff" * 8  # NaN, which no comparison fails
         model.write_bytes(bytes(data))
+        restamp(model)
         capsys.readouterr()
         assert main(["surprise", "--config", str(cfg)]) == 1
         assert "model.bin" in capsys.readouterr().err
@@ -323,6 +327,8 @@ class TestArtifactChecks:
         data = bytearray(path.read_bytes())
         data[len(data) // 2] = 0xFF  # never valid in UTF-8
         path.write_bytes(bytes(data))
+        if path.name == "corpus.json":
+            restamp(path)
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 1
         assert path.name in capsys.readouterr().err
@@ -426,6 +432,7 @@ class TestArtifactChecks:
             else:
                 payload["documents"]["indptr"][-1] += 1
             cache.write_text(json.dumps(payload), encoding="utf-8")
+        restamp(cache)
         capsys.readouterr()
         assert main(["run", "--config", str(cfg)]) == 1
         assert "corpus.json" in capsys.readouterr().err
@@ -443,10 +450,72 @@ class TestArtifactChecks:
         else:
             payload["records"][5]["read_seq"] = 6
         cache.write_text(json.dumps(payload), encoding="utf-8")
+        restamp(cache)
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "corpus.json" in err and "v005" in err
+
+    @pytest.mark.parametrize("command", [*STAGE_COMMANDS[1:], "run"])
+    def test_edited_corpus_cache_exit_1_names_file(self, tmp_path, capsys, command):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        cache = tmp_path / "out" / "corpus.json"
+        data = cache.read_bytes()
+        record = json.loads(data)["records"][5]
+        old = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        new = old.replace(b'"pub_year":%d' % record["pub_year"], b'"pub_year":%d' % (record["pub_year"] - 30))
+        assert data.count(old) == 1 and new != old
+        cache.write_bytes(data.replace(old, new))  # still canonical, and every validator passes
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "corpus.meta.json" in err
+
+    @pytest.mark.parametrize("edit", ["missing", "not_json", "sha_missing", "sha_not_a_string"])
+    def test_bad_corpus_sidecar_exit_1_names_cache(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        meta = tmp_path / "out" / "corpus.meta.json"
+        payload = json.loads(meta.read_text(encoding="utf-8"))
+        if edit == "missing":
+            meta.unlink()
+        elif edit == "not_json":
+            meta.write_text("{", encoding="utf-8")
+        else:
+            payload["corpus_sha256"] = 7
+            if edit == "sha_missing":
+                del payload["corpus_sha256"]
+            meta.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["surprise", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "corpus.json" in err and "corpus.meta.json" in err
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS[2:])
+    def test_flipped_theta_low_bit_exit_1_names_file(self, tmp_path, capsys, command):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "k2" / "model.bin"
+        data = bytearray(model.read_bytes())
+        data[data.index(b"\n") + 1] ^= 1  # the lowest bit of theta[0, 0]: rows still sum to 1 within 1e-9
+        model.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "model.bin" in err and "model.meta.json" in err
+
+    def test_missing_model_sidecar_exit_1_names_model(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        (tmp_path / "out" / "k2" / "model.meta.json").unlink()
+        capsys.readouterr()
+        assert main(["surprise", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "model.bin" in err and "model.meta.json" in err
 
     @pytest.mark.parametrize(
         "line,value", [("k = 2", "1"), ("iterations = 60", "0"), ("samples = 50", "0"), ("n_max = 2", "0")]

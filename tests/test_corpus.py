@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from collections import Counter
@@ -18,16 +19,14 @@ from readpath.corpus import (
     _is_token,
     _stopwords,
     _words,
-    corpus_fingerprint,
     ingest_stats,
-    load_cache,
     load_manifest,
-    save_cache,
     tokenize,
 )
 from readpath.errors import InputError
+from readpath.exports import load_cache, save_cache
 
-from conftest import write_manifest
+from conftest import restamp, write_manifest
 
 CFG_OPEN = TokenizerConfig(min_count=0, max_count=10**9)
 
@@ -88,6 +87,19 @@ def reference_cache_bytes(records, vocab, matrix):
         },
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def corpus_fingerprint(vocab, matrix) -> str:
+    """The test oracle for the corpus fingerprint that `save_cache` hashes as
+    it writes: the SHA-256 of one canonical JSON dump of the vocabulary's
+    tokens and the counts' arrays."""
+    payload = {
+        "tokens": list(vocab.tokens),
+        "indptr": matrix.indptr.tolist(),
+        "indices": matrix.indices.tolist(),
+        "counts": matrix.counts.tolist(),
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 class TestLoadManifest:
@@ -167,7 +179,7 @@ class TestLoadManifest:
                 "alpha beta", "beta gamma", "gamma delta", "alpha beta"
             ]
             vocab, matrix = build_corpus(records, CFG_OPEN)
-            save_cache(tmp_path / "corpus.json", records, vocab, matrix)
+            save_cache(tmp_path, records, vocab, matrix)
             caches.append((tmp_path / "corpus.json").read_bytes())
         assert caches[0] == caches[1]
         assert b'"text_path":"../shared/c.txt"' in caches[0]
@@ -353,27 +365,29 @@ class TestCache:
     def test_save_cache_encodes_once_same_bytes_and_fingerprint(self, corpus):
         records, vocab, matrix = corpus
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "corpus.json"
-            fingerprint = save_cache(path, records, vocab, matrix)
-            assert path.read_bytes() == reference_cache_bytes(records, vocab, matrix)
-            _, v2, m2 = load_cache(path)
+            save_cache(Path(tmp), records, vocab, matrix)
+            assert (Path(tmp) / "corpus.json").read_bytes() == reference_cache_bytes(records, vocab, matrix)
+            _, v2, m2, fingerprint = load_cache(Path(tmp))
         assert fingerprint == corpus_fingerprint(v2, m2) == corpus_fingerprint(vocab, matrix)
 
     def test_roundtrip_and_stable_bytes(self, tmp_path):
         records = _tiny_corpus(tmp_path)
         vocab, matrix = build_corpus(records, CFG_OPEN)
-        p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        save_cache(p1, records, vocab, matrix)
-        save_cache(p2, records, vocab, matrix)
-        assert p1.read_bytes() == p2.read_bytes()
-        r2, v2, m2 = load_cache(p1)
+        p1, p2 = tmp_path / "c1", tmp_path / "c2"
+        for p in (p1, p2):
+            p.mkdir()
+            save_cache(p, records, vocab, matrix)
+        assert (p1 / "corpus.json").read_bytes() == (p2 / "corpus.json").read_bytes()
+        r2, v2, m2, _ = load_cache(p1)
         assert [r.id for r in r2] == [r.id for r in records]
         assert v2.tokens == vocab.tokens
         assert np.array_equal(m2.counts, matrix.counts)
         assert corpus_fingerprint(v2, m2) == corpus_fingerprint(vocab, matrix)
 
     def test_bad_cache_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
+        p = tmp_path / "corpus.json"
         p.write_text("{}", encoding="utf-8")
+        (tmp_path / "corpus.meta.json").write_text('{"corpus_fingerprint": ""}', encoding="utf-8")
+        restamp(p)
         with pytest.raises(InputError):
-            load_cache(p)
+            load_cache(tmp_path)

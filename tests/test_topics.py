@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readpath import topics
-from conftest import hide_cc
+from conftest import hide_cc, restamp
 from readpath.corpus import CorpusMatrix
 from readpath.errors import InputError
+from readpath.exports import load_model, save_model
 from readpath.topics import (
     TopicModelParams,
-    load_model,
-    save_model,
     sweep_k,
     sweep_kernel,
     train,
@@ -384,18 +383,21 @@ class TestModelArtifact:
     def test_roundtrip_and_stable_bytes(self, rng, tmp_path):
         matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
         model = train(matrix, PARAMS, fingerprint="f" * 64)
-        p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
-        save_model(p1, model)
-        save_model(p2, model)
-        assert p1.read_bytes() == p2.read_bytes()
-        loaded = load_model(p1)
+        p1, p2 = tmp_path / "m1", tmp_path / "m2"
+        for p in (p1, p2):
+            p.mkdir()
+            save_model(p, model)
+        assert (p1 / "model.bin").read_bytes() == (p2 / "model.bin").read_bytes()
+        loaded = load_model(p1, 8, "f" * 64)
         assert np.array_equal(loaded.theta, model.theta)
         assert np.array_equal(loaded.phi, model.phi)
         assert loaded.params == model.params
         assert loaded.corpus_fingerprint == "f" * 64
 
     def test_bad_artifact_rejected(self, tmp_path):
-        p = tmp_path / "junk.bin"
+        p = tmp_path / "model.bin"
         p.write_bytes(b"not a model\n")
+        (tmp_path / "model.meta.json").write_text("{}", encoding="utf-8")
+        restamp(p)
         with pytest.raises(InputError):
-            load_model(p)
+            load_model(tmp_path, 8, "f" * 64)
