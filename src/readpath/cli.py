@@ -2,12 +2,16 @@
 
 Subcommands cover each pipeline stage (ingest, train, surprise, null,
 puborder, greedy, ranks, epochs) plus `run` for the whole chain and
-`report` to pretty-print a result bundle. Every value in the config file
-can be overridden with a flag of the same dotted name, e.g.
-``--topics.k 40`` or ``--null.samples=200``; the common flags ``--out``,
-``--seed``, ``--k``, ``--samples`` and ``--threads`` are shorthand for
-``--run.out``, ``--run.seed``, ``--topics.k``, ``--null.samples`` and
-``--run.threads``, applied before the dotted names.
+`report` to pretty-print a result bundle; `_COMMANDS` lists them with
+their steps. Every value in the config file can be overridden with a flag
+of the same dotted name, e.g. ``--topics.k 40`` or ``--null.samples=200``;
+the common flags ``--out``, ``--seed``, ``--k``, ``--samples`` and
+``--threads`` are shorthand for ``--run.out``, ``--run.seed``,
+``--topics.k``, ``--null.samples`` and ``--run.threads``, applied before
+the dotted names. `config.load_run_config` builds the file and the
+overrides into one frozen `RunConfig`, and each step passes its stage's
+config (``cfg.corpus``, ``cfg.topics``, ``cfg.null``, ``cfg.epochs``) to
+the compute modules.
 
 Every artifact is written and read through `exports`, which owns the file
 names and formats. All exports are byte-deterministic for a fixed (inputs,
@@ -35,16 +39,8 @@ from . import nullmodel as null_mod
 from . import paths as paths_mod
 from . import surprise as surprise_mod
 from . import topics as topics_mod
-from .config import RunConfig, apply_override, load_run_config
+from .config import RunConfig, load_run_config
 from .errors import InputError
-
-_COMMANDS = (
-    "ingest", "train", "surprise", "null", "puborder",
-    "greedy", "ranks", "epochs", "run", "report",
-)
-
-# Stages whose wall seconds and peak RSS `run` records in run_meta.json.
-_STAGES = ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs")
 
 # The common flags: each is shorthand for a dotted override.
 _SHORTHAND = {
@@ -98,6 +94,17 @@ def _load_stage_corpus(cfg: RunConfig):
     return records, fingerprint
 
 
+def _load_model(cfg: RunConfig, kdir: Path, records, fingerprint: str) -> topics_mod.TopicModel:
+    """The model of ``kdir``, trained on the cached corpus. When no setting
+    named k, an error loading it also says where the default k came from."""
+    try:
+        return exports_mod.load_model(kdir, len(records), fingerprint)
+    except InputError as exc:
+        if cfg.k_given:
+            raise
+        raise InputError(f"{exc}; {cfg.k_note()}") from exc
+
+
 # --------------------------------------------------------------------------
 # pipeline steps (each writes its exports and returns its results)
 
@@ -106,7 +113,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     if cfg.manifest is None:
         raise InputError("corpus.manifest is required for ingest")
     records = corpus_mod.load_manifest(cfg.manifest)
-    vocab, matrix = corpus_mod.build_corpus(records, cfg.tokenizer_config())
+    vocab, matrix = corpus_mod.build_corpus(records, cfg.corpus)
     cfg.out.mkdir(parents=True, exist_ok=True)
     exports_mod.save_cache(cfg.out, records, vocab, matrix)
     print(json.dumps(corpus_mod.ingest_stats(vocab, matrix), sort_keys=True))
@@ -114,7 +121,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> list[topics_mod.TopicModel]:
     models = topics_mod.sweep_k(
-        matrix, cfg.k_list, cfg.topic_params(), fingerprint=fingerprint, threads=cfg.threads
+        matrix, cfg.k_list, cfg.topics, fingerprint=fingerprint, threads=cfg.threads
     )
     for kdir, model in zip(_kdirs(cfg), models):
         kdir.mkdir(parents=True, exist_ok=True)
@@ -143,27 +150,27 @@ def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.Surpris
 def cmd_surprise(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     for kdir in _kdirs(cfg):
-        _step_surprise(kdir, exports_mod.load_model(kdir, len(records), fingerprint), records)
+        _step_surprise(kdir, _load_model(cfg, kdir, records, fingerprint), records)
 
 
 def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
     out = null_mod.build_null(model.theta, perms)
-    exports_mod.write_null(kdir, out, cfg.null_config())
+    exports_mod.write_null(kdir, out, cfg.null)
     return out
 
 
 def cmd_null(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
-    perms = null_mod.null_permutations(records, cfg.null_config())
+    perms = null_mod.null_permutations(records, cfg.null)
     for kdir in _kdirs(cfg):
-        _step_null(kdir, exports_mod.load_model(kdir, len(records), fingerprint), perms, cfg)
+        _step_null(kdir, _load_model(cfg, kdir, records, fingerprint), perms, cfg)
 
 
 def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
     rep_order = null_mod.publication_order_ids(records)
     doc_ids = [records[i].id for i in rep_order[1:]]
     pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
-    out = null_mod.publication_order_series(model.theta, records, cfg.null_config())
+    out = null_mod.publication_order_series(model.theta, records, cfg.null)
     exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years, model.corpus_fingerprint)
     return out
 
@@ -171,7 +178,7 @@ def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surp
 def cmd_puborder(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     for kdir in _kdirs(cfg):
-        _step_puborder(kdir, exports_mod.load_model(kdir, len(records), fingerprint), records, cfg)
+        _step_puborder(kdir, _load_model(cfg, kdir, records, fingerprint), records, cfg)
 
 
 def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
@@ -188,15 +195,15 @@ def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str
 def cmd_greedy(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     for kdir in _kdirs(cfg):
-        model = exports_mod.load_model(kdir, len(records), fingerprint)
+        model = _load_model(cfg, kdir, records, fingerprint)
         _step_greedy(kdir, model, records, cfg, paths_mod.divergence_matrix(model.theta))
 
 
 def cmd_ranks(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
-    perms = null_mod.null_permutations(records, cfg.null_config())
+    perms = null_mod.null_permutations(records, cfg.null)
     for kdir in _kdirs(cfg):
-        matrix = paths_mod.divergence_matrix(exports_mod.load_model(kdir, len(records), fingerprint).theta)
+        matrix = paths_mod.divergence_matrix(_load_model(cfg, kdir, records, fingerprint).theta)
         ranks = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
         exports_mod.write_ranks(kdir, ranks)
 
@@ -209,7 +216,7 @@ def _series_dates(records) -> list:
 def _placements(records, cfg: RunConfig):
     """Log placement counts of the epoch search: they depend only on the
     series dates, so both kinds and every k share one count."""
-    return epochs_mod.placement_log_counts(len(records) - 1, cfg.epoch_config(), _series_dates(records))
+    return epochs_mod.placement_log_counts(len(records) - 1, cfg.epochs, _series_dates(records))
 
 
 def _step_epochs(
@@ -222,7 +229,6 @@ def _step_epochs(
     means are reported whenever null statistics are available (``nulls``,
     else the bundle's null exports). ``placements`` is `_placements` of
     the records. Returns the epochs export's payload of each kind."""
-    ecfg = cfg.epoch_config()
     dates = _series_dates(records)
     relative = cfg.epoch_input == "relative"
     out = {}
@@ -234,14 +240,14 @@ def _step_epochs(
             null_means = exports_mod.load_null_means(kdir, kind, len(values), required=relative)
         fit_values = values - null_means if relative else values
         best, table, landscape = epochs_mod.select_n_with_landscape(
-            fit_values, ecfg, dates=dates, log_placements=placements
+            fit_values, cfg.epochs, dates=dates, log_placements=placements
         )
         rel_means = None
         if null_means is not None:
             rel_means = [float(x) for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)]
         out[kind] = exports_mod.write_epochs(
             kdir, kind, cfg.epoch_input, best, table, epochs_mod.break_to_date(best, records),
-            rel_means, epochs_mod.evidence_prior(fit_values, ecfg), landscape,
+            rel_means, epochs_mod.evidence_prior(fit_values, cfg.epochs), landscape,
         )
     return out
 
@@ -250,7 +256,7 @@ def cmd_epochs(cfg: RunConfig) -> None:
     records, fingerprint = _load_stage_corpus(cfg)
     placements = _placements(records, cfg)
     for kdir in _kdirs(cfg):
-        model = exports_mod.load_model(kdir, len(records), fingerprint)
+        model = _load_model(cfg, kdir, records, fingerprint)
         _step_epochs(kdir, _reading_series(model), records, cfg, None, placements)
 
 
@@ -271,7 +277,7 @@ def cmd_run(cfg: RunConfig) -> None:
     with _timed(stage_s, stage_rss, "train"):
         models = _train_models(cfg, matrix, fingerprint)
     with _timed(stage_s, stage_rss, "null"):
-        perms = null_mod.null_permutations(records, cfg.null_config())
+        perms = null_mod.null_permutations(records, cfg.null)
 
     placements = None
     for kdir, model in zip(_kdirs(cfg), models):
@@ -390,6 +396,16 @@ def cmd_report(bundle: Path) -> None:
 # --------------------------------------------------------------------------
 # argument handling
 
+# The pipeline stages, in order; `run` records each one's wall seconds and
+# peak RSS in run_meta.json.
+_STAGES = {
+    "ingest": cmd_ingest, "train": cmd_train, "surprise": cmd_surprise, "null": cmd_null,
+    "puborder": cmd_puborder, "greedy": cmd_greedy, "ranks": cmd_ranks, "epochs": cmd_epochs,
+}
+# Every subcommand, in `readpath --help` order.
+_COMMANDS = {**_STAGES, "run": cmd_run, "report": cmd_report}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="readpath",
@@ -433,14 +449,8 @@ def _config_from_args(args, overrides: list[tuple[str, str]]) -> RunConfig:
     """The config file with the command line's overrides applied in order:
     the common flags first, then the dotted names."""
     common = [(dotted, getattr(args, flag)) for flag, dotted in _SHORTHAND.items()]
-    overrides = [(dotted, value) for dotted, value in common if value is not None] + overrides
-    if {"topics.k", "topics.k_list"} <= {dotted for dotted, _ in overrides}:
-        raise InputError("the command line sets both topics.k (or --k) and topics.k_list; pick one")
-    cfg = load_run_config(args.config)
-    for dotted, value in overrides:
-        apply_override(cfg, dotted, value)
-    cfg.validate()
-    return cfg
+    common = [(dotted, value) for dotted, value in common if value is not None]
+    return load_run_config(args.config, common + overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -455,19 +465,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise InputError(f"unrecognized argument: {rest[0]}")
             cmd_report(args.bundle)
             return 0
-        cfg = _config_from_args(args, _split_overrides(rest))
-        dispatch = {
-            "ingest": cmd_ingest,
-            "train": cmd_train,
-            "surprise": cmd_surprise,
-            "null": cmd_null,
-            "puborder": cmd_puborder,
-            "greedy": cmd_greedy,
-            "ranks": cmd_ranks,
-            "epochs": cmd_epochs,
-            "run": cmd_run,
-        }
-        dispatch[args.command](cfg)
+        _COMMANDS[args.command](_config_from_args(args, _split_overrides(rest)))
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

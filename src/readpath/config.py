@@ -1,5 +1,13 @@
-"""Run configuration: INI file with sections mirroring the module names,
-plus dotted-name command-line overrides (e.g. ``--topics.k 40``)."""
+"""Run configuration: an INI file whose sections mirror the module names,
+plus dotted-name command-line overrides (e.g. ``--topics.k 40``).
+
+Each stage setting and its default live in that stage's config dataclass
+(`TokenizerConfig`, `TopicModelParams`, `NullConfig`, `EpochSearchConfig`),
+which also checks its ranges. `RunConfig` holds one built instance of each,
+beside the settings that no stage owns. `_SCHEMA` maps each key to the
+field it sets; `load_run_config` collects the file's values, then the
+overrides', and builds the frozen config from them.
+"""
 
 from __future__ import annotations
 
@@ -16,66 +24,29 @@ from .topics import TopicModelParams
 
 EPOCH_INPUTS = ("raw", "relative")
 
+# The config dataclass of each stage, by the owner name `_SCHEMA` uses.
+_STAGE_CONFIGS = {
+    "corpus": TokenizerConfig, "topics": TopicModelParams, "null": NullConfig, "epochs": EpochSearchConfig,
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    # [corpus]
+    corpus: TokenizerConfig
+    topics: TopicModelParams  # k is k_list[0]; each chain takes its own k
+    null: NullConfig
+    epochs: EpochSearchConfig
     manifest: Path | None = None
-    stopwords: Path | None = None
-    min_count: int = 30
-    max_count: int = 15000
-    # [topics]
-    k_list: list[int] = field(default_factory=lambda: [80])
-    alpha: float | None = None
-    beta: float = 0.01
-    iterations: int = 1000
-    average_last: int = 1
-    # [null]
-    samples: int = 1000
-    within_year_exact_threshold: int = 6
-    within_year_samples: int = 100
-    # [epochs]
-    epoch_n_max: int = 3
-    epoch_min_length: int | None = None
-    epoch_min_years: float | None = 5.0
+    k_list: list[int] = field(default_factory=lambda: [TopicModelParams.k])
     epoch_input: str = "raw"
-    # [run]
     out: Path = Path("out")
-    seed: int = 0
     threads: int = 1
     export_matrix: bool = False
+    # Where the settings came from, for messages; no key sets these.
+    source: Path | None = None
+    k_given: bool = False
 
-    def tokenizer_config(self) -> TokenizerConfig:
-        return TokenizerConfig(
-            min_count=self.min_count, max_count=self.max_count, stopword_path=self.stopwords
-        )
-
-    def topic_params(self) -> TopicModelParams:
-        return TopicModelParams(
-            k=self.k_list[0],
-            alpha=self.alpha,
-            beta=self.beta,
-            iterations=self.iterations,
-            seed=self.seed,
-            average_last=self.average_last,
-        )
-
-    def null_config(self) -> NullConfig:
-        return NullConfig(
-            samples=self.samples,
-            seed=self.seed,
-            within_year_exact_threshold=self.within_year_exact_threshold,
-            within_year_samples=self.within_year_samples,
-        )
-
-    def epoch_config(self) -> EpochSearchConfig:
-        return EpochSearchConfig(
-            n_max=self.epoch_n_max,
-            min_length=self.epoch_min_length,
-            min_years=None if self.epoch_min_length is not None else self.epoch_min_years,
-        )
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epoch_input not in EPOCH_INPUTS:
             raise InputError(f"epochs.input must be one of {EPOCH_INPUTS}")
         if not self.k_list:
@@ -85,17 +56,20 @@ class RunConfig:
             raise InputError(f"topics.k_list repeats k={repeated[0]}; each k names one bundle")
         if self.threads < 1:
             raise InputError("run.threads must be >= 1")
-        if self.seed < 0:
-            raise InputError("run.seed must be nonnegative")
-        # Each stage's config checks its own ranges; a value it rejects is bad input.
-        try:
-            self.tokenizer_config()
-            self.null_config()
-            self.epoch_config()
-            for k in self.k_list:
-                dataclasses.replace(self.topic_params(), k=k)
-        except ValueError as exc:
-            raise InputError(f"bad configuration: {exc}") from exc
+        for k in self.k_list:  # each chain's parameters; TopicModelParams rejects k < 2
+            dataclasses.replace(self.topics, k=k)
+
+    @property
+    def seed(self) -> int:
+        """``run.seed``, which seeds both the topic chains and the null."""
+        return self.topics.seed
+
+    def k_note(self) -> str:
+        """Where ``k_list`` came from when no setting named k (not ``k_given``)."""
+        default = f"k={self.k_list[0]} is the default topics.k_list"
+        if self.source is None:
+            return f"{default}: no config file is given and no flag sets topics.k or topics.k_list"
+        return f"{default}: neither config {self.source} nor a flag sets topics.k or topics.k_list"
 
 
 def _parse_bool(s: str) -> bool:
@@ -119,77 +93,100 @@ def _parse_optional_float(s: str) -> float | None:
     return None if s.strip().lower() in ("", "none") else float(s)
 
 
-# (section, key) -> (RunConfig attribute, parser, resolve-as-path)
+# (section, key) -> (parser, the "owner.field" each value sets). The owner is
+# a stage of `_STAGE_CONFIGS` or "run", RunConfig itself. A `Path` value
+# resolves against the directory of the layer that sets it.
 _SCHEMA = {
-    ("corpus", "manifest"): ("manifest", str, True),
-    ("corpus", "stopwords"): ("stopwords", str, True),
-    ("corpus", "min_count"): ("min_count", int, False),
-    ("corpus", "max_count"): ("max_count", int, False),
-    ("topics", "k"): ("k_list", lambda s: [int(s)], False),
-    ("topics", "k_list"): ("k_list", _parse_int_list, False),
-    ("topics", "alpha"): ("alpha", _parse_optional_float, False),
-    ("topics", "beta"): ("beta", float, False),
-    ("topics", "iterations"): ("iterations", int, False),
-    ("topics", "average_last"): ("average_last", int, False),
-    ("null", "samples"): ("samples", int, False),
-    ("null", "within_year_exact_threshold"): ("within_year_exact_threshold", int, False),
-    ("null", "within_year_samples"): ("within_year_samples", int, False),
-    ("epochs", "n_max"): ("epoch_n_max", int, False),
-    ("epochs", "min_length"): ("epoch_min_length", _parse_optional_int, False),
-    ("epochs", "min_years"): ("epoch_min_years", _parse_optional_float, False),
-    ("epochs", "input"): ("epoch_input", str, False),
-    ("run", "out"): ("out", str, True),
-    ("run", "seed"): ("seed", int, False),
-    ("run", "threads"): ("threads", int, False),
-    ("run", "export_matrix"): ("export_matrix", _parse_bool, False),
+    ("corpus", "manifest"): (Path, "run.manifest"),
+    ("corpus", "stopwords"): (Path, "corpus.stopword_path"),
+    ("corpus", "min_count"): (int, "corpus.min_count"),
+    ("corpus", "max_count"): (int, "corpus.max_count"),
+    ("topics", "k"): (lambda s: [int(s)], "run.k_list"),
+    ("topics", "k_list"): (_parse_int_list, "run.k_list"),
+    ("topics", "alpha"): (_parse_optional_float, "topics.alpha"),
+    ("topics", "beta"): (float, "topics.beta"),
+    ("topics", "iterations"): (int, "topics.iterations"),
+    ("topics", "average_last"): (int, "topics.average_last"),
+    ("null", "samples"): (int, "null.samples"),
+    ("null", "within_year_exact_threshold"): (int, "null.within_year_exact_threshold"),
+    ("null", "within_year_samples"): (int, "null.within_year_samples"),
+    ("epochs", "n_max"): (int, "epochs.n_max"),
+    ("epochs", "min_length"): (_parse_optional_int, "epochs.min_length"),
+    ("epochs", "min_years"): (_parse_optional_float, "epochs.min_years"),
+    ("epochs", "input"): (str, "run.epoch_input"),
+    ("run", "out"): (Path, "run.out"),
+    ("run", "seed"): (int, "topics.seed", "null.seed"),
+    ("run", "threads"): (int, "run.threads"),
+    ("run", "export_matrix"): (_parse_bool, "run.export_matrix"),
 }
 
 
-def _assign(cfg: RunConfig, section: str, key: str, raw: str, base: Path) -> None:
+def _check_one_k_setting(dotted_keys, where: str) -> None:
+    """One layer sets k by topics.k or by topics.k_list, not both."""
+    if {"topics.k", "topics.k_list"} <= set(dotted_keys):
+        raise InputError(f"{where} sets both topics.k and topics.k_list; pick one")
+
+
+def _assign(values: dict[str, object], section: str, key: str, raw: str, base: Path) -> None:
+    """Parse ``raw`` as ``section.key`` into ``values``, {"owner.field": value}."""
     try:
-        attr, parser, is_path = _SCHEMA[(section, key)]
+        parser, *targets = _SCHEMA[(section, key)]
     except KeyError:
         raise InputError(f"unknown configuration key {section}.{key}") from None
     try:
         value = parser(raw)
     except ValueError as exc:
         raise InputError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
-    if is_path and value is not None:
-        p = Path(value)
-        value = p if p.is_absolute() else (base / p)
-    setattr(cfg, attr, value)
+    if parser is Path:
+        value = base / value
+    for target in targets:
+        values[target] = value
 
 
-def load_run_config(path: Path | str | None) -> RunConfig:
-    """Parse the INI config; relative paths resolve against the file's
-    directory. A missing path yields pure defaults. An error in the file,
-    its values included, is an InputError naming it."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+def _build(values: dict[str, object], source: Path | None) -> RunConfig:
+    """The config of ``values``; each dataclass supplies the defaults of the
+    fields that ``values`` leaves unset. A value that one rejects is an
+    InputError."""
+    kwargs = {owner: {} for owner in (*_STAGE_CONFIGS, "run")}
+    for target, value in values.items():
+        owner, name = target.split(".")
+        kwargs[owner][name] = value
+    run = kwargs.pop("run")
+    if run.get("k_list"):
+        kwargs["topics"]["k"] = run["k_list"][0]
     try:
-        parser.read_string(read_text(path), source=str(path))
-    except configparser.Error as exc:
-        raise InputError(f"cannot parse config {path}: {exc}") from exc
-    try:
-        if parser.has_option("topics", "k") and parser.has_option("topics", "k_list"):
-            raise InputError("sets both topics.k and topics.k_list; pick one")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                _assign(cfg, section, key, raw, path.parent.resolve())
-        cfg.validate()
-    except InputError as exc:
-        raise InputError(f"config {path}: {exc}") from exc
-    return cfg
+        stages = {owner: cls(**kwargs[owner]) for owner, cls in _STAGE_CONFIGS.items()}
+        return RunConfig(**stages, **run, source=source, k_given="run.k_list" in values)
+    except ValueError as exc:
+        raise InputError(f"bad configuration: {exc}") from exc
 
 
-def apply_override(cfg: RunConfig, dotted: str, raw: str) -> None:
-    """Apply a ``section.key=value`` override; paths resolve against cwd."""
-    if "." not in dotted:
-        raise InputError(f"override must look like section.key, got {dotted!r}")
-    section, key = dotted.split(".", 1)
-    _assign(cfg, section, key, raw, Path.cwd())
+def load_run_config(path: Path | str | None, overrides: list[tuple[str, str]] = ()) -> RunConfig:
+    """The INI config at ``path`` (None: no file, all defaults) with the
+    ``(section.key, value)`` overrides applied in order. Relative paths
+    resolve against the file's directory in the file and against the working
+    directory in an override. An error in the file, its values included, is
+    an InputError naming it."""
+    values: dict[str, object] = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise InputError(f"config file not found: {path}")
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(read_text(path), source=str(path))
+        except configparser.Error as exc:
+            raise InputError(f"cannot parse config {path}: {exc}") from exc
+        try:
+            _check_one_k_setting((f"{s}.{k}" for s in parser.sections() for k in parser[s]), "the file")
+            for section in parser.sections():
+                for key, raw in parser.items(section):
+                    _assign(values, section, key, raw, path.parent.resolve())
+            _build(values, path)
+        except InputError as exc:
+            raise InputError(f"config {path}: {exc}") from exc
+    _check_one_k_setting((dotted for dotted, _ in overrides), "the command line")
+    for dotted, raw in overrides:
+        section, _, key = dotted.partition(".")
+        _assign(values, section, key, raw, Path.cwd())
+    return _build(values, path)

@@ -536,6 +536,34 @@ class TestArtifactChecks:
         assert main(["train", "--config", str(cfg), f"--{section}.{key}", value]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_min_years_a_stage_rejects_exit_1_beside_min_length(self, tmp_path, capsys):
+        # min_length takes precedence in the search, yet a min_years that
+        # EpochSearchConfig rejects is bad input all the same.
+        cfg = build_demo(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--epochs.min_length", "10", "--epochs.min_years", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "min_years" in err and "Traceback" not in err
+        good = cfg.read_text(encoding="utf-8")
+        cfg.write_text(good.replace("min_length = 3", "min_length = 3\nmin_years = 0"), encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "run.cfg" in err and "min_years" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["surprise", "epochs"])
+    def test_missing_model_of_the_default_k_names_the_config(self, tmp_path, capsys, command):
+        # A config cut short before [topics] leaves k at its default; the
+        # missing model's error says so and names the config file.
+        cfg = build_demo(tmp_path)
+        out = ["--out", str(tmp_path / "out")]
+        for cmd in ("ingest", "train"):
+            assert main([cmd, "--config", str(cfg), *out]) == 0
+        cfg.write_text("[corpus]\nmanifest = manifest.cs", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *out]) == 1
+        err = capsys.readouterr().err
+        assert "k80" in err and "k=80 is the default topics.k_list" in err and str(cfg) in err
+
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(readpath.__file__).resolve().parents[1])
         entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
