@@ -42,7 +42,8 @@ from .paths import (
     divergence_matrix,
     greedy_t2p_path,
     greedy_t2t_path,
-    rank_distribution,
+    rank_bands,
+    rank_counts,
 )
 from .surprise import (
     SurpriseSeries,
@@ -83,7 +84,8 @@ __all__ = [
     "log_evidence",
     "null_permutations",
     "publication_order_series",
-    "rank_distribution",
+    "rank_bands",
+    "rank_counts",
     "segment_loglik",
     "select_n",
     "sweep_k",

@@ -3,7 +3,9 @@
 Subcommands cover each pipeline stage (ingest, train, surprise, null,
 puborder, greedy, ranks, epochs) plus `run` for the whole chain and
 `report` to pretty-print a result bundle; `_COMMANDS` lists them with
-their steps. Every value in the config file can be overridden with a flag
+their steps. The six analysis stages are one table of step functions,
+`_STEPS`, which `run` runs on each k's trained model; each staged command
+runs its one step on each k's saved model. Every value in the config file can be overridden with a flag
 of the same dotted name, e.g. ``--topics.k 40`` or ``--null.samples=200``;
 the common flags ``--out``, ``--seed``, ``--k``, ``--samples`` and
 ``--threads`` are shorthand for ``--run.out``, ``--run.seed``,
@@ -23,11 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import resource
 import sys
 import time
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,14 +90,6 @@ def _kdirs(cfg: RunConfig) -> list[Path]:
     return [cfg.out / f"k{k}" for k in cfg.k_list]
 
 
-def _load_stage_corpus(cfg: RunConfig):
-    """The cached records and the corpus fingerprint that every model a
-    stage loads must carry. The vocabulary and counts are freed on return:
-    held for the whole stage, they stay resident under its peak."""
-    records, _, _, fingerprint = exports_mod.load_cache(cfg.out)
-    return records, fingerprint
-
-
 def _load_model(cfg: RunConfig, kdir: Path, records, fingerprint: str) -> topics_mod.TopicModel:
     """The model of ``kdir``, trained on the cached corpus. When no setting
     named k, an error loading it also says where the default k came from."""
@@ -135,77 +131,25 @@ def cmd_train(cfg: RunConfig) -> None:
     _train_models(cfg, matrix, fingerprint)
 
 
-def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
-    return {"T2T": surprise_mod.t2t_series(model.theta), "T2P": surprise_mod.t2p_series(model.theta)}
+@dataclass
+class _Shared:
+    """What every k of one command shares: the config, the cached records
+    and the two inputs that do not depend on k, each computed at most once
+    per command, on first use."""
 
+    cfg: RunConfig
+    records: list
 
-def _step_surprise(kdir: Path, model, records) -> dict[str, surprise_mod.SurpriseSeries]:
-    out = _reading_series(model)
-    doc_ids = [r.id for r in records[1:]]
-    dates = [r.read_date.isoformat() for r in records[1:]]
-    exports_mod.write_series(kdir, "series", out, doc_ids, dates, model.corpus_fingerprint)
-    return out
+    @functools.cached_property
+    def perms(self) -> np.ndarray:
+        """The null ensemble's orders: both null kinds and the ranks read them."""
+        return null_mod.null_permutations(self.records, self.cfg.null)
 
-
-def cmd_surprise(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    for kdir in _kdirs(cfg):
-        _step_surprise(kdir, _load_model(cfg, kdir, records, fingerprint), records)
-
-
-def _step_null(kdir: Path, model, perms, cfg: RunConfig) -> dict[str, null_mod.NullEnsemble]:
-    out = null_mod.build_null(model.theta, perms)
-    exports_mod.write_null(kdir, out, cfg.null)
-    return out
-
-
-def cmd_null(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    perms = null_mod.null_permutations(records, cfg.null)
-    for kdir in _kdirs(cfg):
-        _step_null(kdir, _load_model(cfg, kdir, records, fingerprint), perms, cfg)
-
-
-def _step_puborder(kdir: Path, model, records, cfg: RunConfig) -> dict[str, surprise_mod.SurpriseSeries]:
-    rep_order = null_mod.publication_order_ids(records)
-    doc_ids = [records[i].id for i in rep_order[1:]]
-    pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
-    out = null_mod.publication_order_series(model.theta, records, cfg.null)
-    exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years, model.corpus_fingerprint)
-    return out
-
-
-def cmd_puborder(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    for kdir in _kdirs(cfg):
-        _step_puborder(kdir, _load_model(cfg, kdir, records, fingerprint), records, cfg)
-
-
-def _step_greedy(kdir: Path, model, records, cfg: RunConfig, matrix) -> dict[str, paths_mod.GreedyPath]:
-    out = {
-        "T2T": paths_mod.greedy_t2t_path(matrix, start_index=0),
-        "T2P": paths_mod.greedy_t2p_path(model.theta, start_index=0),
-    }
-    exports_mod.write_greedy(kdir, out, [r.id for r in records])
-    if cfg.export_matrix:
-        exports_mod.write_matrix(kdir, matrix)
-    return out
-
-
-def cmd_greedy(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    for kdir in _kdirs(cfg):
-        model = _load_model(cfg, kdir, records, fingerprint)
-        _step_greedy(kdir, model, records, cfg, paths_mod.divergence_matrix(model.theta))
-
-
-def cmd_ranks(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    perms = null_mod.null_permutations(records, cfg.null)
-    for kdir in _kdirs(cfg):
-        matrix = paths_mod.divergence_matrix(_load_model(cfg, kdir, records, fingerprint).theta)
-        ranks = paths_mod.rank_distribution(matrix, np.arange(len(matrix)), perms)
-        exports_mod.write_ranks(kdir, ranks)
+    @functools.cached_property
+    def placements(self) -> np.ndarray:
+        """Log placement counts of the epoch search: they depend only on
+        the series dates, so both kinds and every k share one count."""
+        return epochs_mod.placement_log_counts(len(self.records) - 1, self.cfg.epochs, _series_dates(self.records))
 
 
 def _series_dates(records) -> list:
@@ -213,22 +157,78 @@ def _series_dates(records) -> list:
     return [r.read_date for r in records[: len(records) - 1]]
 
 
-def _placements(records, cfg: RunConfig):
-    """Log placement counts of the epoch search: they depend only on the
-    series dates, so both kinds and every k share one count."""
-    return epochs_mod.placement_log_counts(len(records) - 1, cfg.epochs, _series_dates(records))
+def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
+    return {"T2T": surprise_mod.t2t_series(model.theta), "T2P": surprise_mod.t2p_series(model.theta)}
 
 
-def _step_epochs(
-    kdir: Path, series: dict[str, surprise_mod.SurpriseSeries], records, cfg: RunConfig,
-    nulls: dict[str, null_mod.NullEnsemble] | None, placements,
-) -> dict[str, dict]:
+def _step_surprise(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, surprise_mod.SurpriseSeries]:
+    out = _reading_series(model)
+    records = shared.records
+    doc_ids = [r.id for r in records[1:]]
+    dates = [r.read_date.isoformat() for r in records[1:]]
+    exports_mod.write_series(kdir, "series", out, doc_ids, dates, model.corpus_fingerprint)
+    return out
+
+
+def _step_null(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, null_mod.NullEnsemble]:
+    out = null_mod.build_null(model.theta, shared.perms)
+    exports_mod.write_null(kdir, out, shared.cfg.null)
+    return out
+
+
+def _step_puborder(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, surprise_mod.SurpriseSeries]:
+    records = shared.records
+    rep_order = null_mod.publication_order_ids(records)
+    doc_ids = [records[i].id for i in rep_order[1:]]
+    pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
+    out = null_mod.publication_order_series(model.theta, records, shared.cfg.null)
+    exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years, model.corpus_fingerprint)
+    return out
+
+
+def _step_greedy(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, paths_mod.GreedyPath]:
+    """The greedy paths; the D x D divergence matrix goes to ``done`` for
+    the ranks step."""
+    matrix = done["matrix"] = paths_mod.divergence_matrix(model.theta)
+    out = {
+        "T2T": paths_mod.greedy_t2t_path(matrix, start_index=0),
+        "T2P": paths_mod.greedy_t2p_path(model.theta, start_index=0),
+    }
+    exports_mod.write_greedy(kdir, out, [r.id for r in shared.records])
+    if shared.cfg.export_matrix:
+        exports_mod.write_matrix(kdir, matrix)
+    return out
+
+
+def _step_ranks(shared: _Shared, kdir: Path, model, done: dict) -> paths_mod.RankDistribution:
+    """The rank distribution, from the greedy step's matrix when ``done``
+    holds it, else from a matrix of its own."""
+    perms = shared.perms
+    matrix = done.pop("matrix") if "matrix" in done else paths_mod.divergence_matrix(model.theta)
+    # The count pass sets a long reading list's peak RSS, on top of the
+    # live D x D matrix; give back the freed pages of the earlier stages
+    # first, or they stay resident under that peak.
+    _release_free_heap()
+    counts = paths_mod.rank_counts(matrix, np.arange(len(matrix)), perms)
+    # Free the matrix, and the pages of what is freed by now, before the
+    # bands load scipy and before the epoch fit: neither needs them, and
+    # the peak RSS falls in those.
+    del matrix
+    _release_free_heap()
+    return exports_mod.write_ranks(kdir, paths_mod.rank_bands(counts))
+
+
+def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, dict]:
     """Fit epoch models for both series kinds. The series handed to the
     segmenter is the raw surprise by default (epochs.input = raw) or the
     null-relative surprise (epochs.input = relative); per-epoch relative
-    means are reported whenever null statistics are available (``nulls``,
-    else the bundle's null exports). ``placements`` is `_placements` of
-    the records. Returns the epochs export's payload of each kind."""
+    means are reported whenever null statistics are available (the null
+    step's in ``done``, else the bundle's null exports). Returns the
+    epochs export's payload of each kind."""
+    cfg, records = shared.cfg, shared.records
+    placements = shared.placements  # in `run`, first drawn after the matrix is freed
+    series = done["surprise"] if "surprise" in done else _reading_series(model)
+    nulls = done.get("null")
     dates = _series_dates(records)
     relative = cfg.epoch_input == "relative"
     out = {}
@@ -252,17 +252,33 @@ def _step_epochs(
     return out
 
 
-def cmd_epochs(cfg: RunConfig) -> None:
-    records, fingerprint = _load_stage_corpus(cfg)
-    placements = _placements(records, cfg)
-    for kdir in _kdirs(cfg):
-        model = _load_model(cfg, kdir, records, fingerprint)
-        _step_epochs(kdir, _reading_series(model), records, cfg, None, placements)
+# The analysis steps, in pipeline order. Each takes the shared inputs, one
+# k's bundle directory and model, and ``done``: the results of the steps
+# before it on this k, by step name, which `run` fills and a staged command
+# leaves empty, so that the step recomputes or reloads them. A step writes
+# its exports and returns its result.
+_STEPS = {
+    "surprise": _step_surprise, "null": _step_null, "puborder": _step_puborder,
+    "greedy": _step_greedy, "ranks": _step_ranks, "epochs": _step_epochs,
+}
+
+
+def _staged(step):
+    """The staged command of ``step``: run it on each k's saved model."""
+
+    def command(cfg: RunConfig) -> None:
+        records, vocab, matrix, fingerprint = exports_mod.load_cache(cfg.out)
+        del vocab, matrix  # no step reads them; held, they stay resident under the peak
+        shared = _Shared(cfg, records)
+        for kdir in _kdirs(cfg):
+            step(shared, kdir, _load_model(cfg, kdir, records, fingerprint), {})
+
+    return command
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    """Whole pipeline: ingest (when needed), train per k, every analysis,
-    one bundle directory per k with a summary and a file manifest."""
+    """Whole pipeline: ingest (when needed), train per k, every analysis
+    step, one bundle directory per k with a summary and a file manifest."""
     stage_s = dict.fromkeys(_STAGES, 0.0)
     stage_rss = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -273,44 +289,22 @@ def cmd_run(cfg: RunConfig) -> None:
             cmd_ingest(cfg)
         # The models train on the reloaded cache, the counts that ingest
         # fingerprinted; keeping the ingested objects instead raises peak RSS.
-        records, _, matrix, fingerprint = exports_mod.load_cache(cfg.out)
+        records, vocab, matrix, fingerprint = exports_mod.load_cache(cfg.out)
     with _timed(stage_s, stage_rss, "train"):
         models = _train_models(cfg, matrix, fingerprint)
+    del vocab, matrix  # no step reads them; held, they stay resident under the peak
+    shared = _Shared(cfg, records)
     with _timed(stage_s, stage_rss, "null"):
-        perms = null_mod.null_permutations(records, cfg.null)
+        shared.perms  # drawn once, for every k
 
-    placements = None
     for kdir, model in zip(_kdirs(cfg), models):
-        with _timed(stage_s, stage_rss, "surprise"):
-            series = _step_surprise(kdir, model, records)
-        with _timed(stage_s, stage_rss, "null"):
-            nulls = _step_null(kdir, model, perms, cfg)
-        with _timed(stage_s, stage_rss, "puborder"):
-            puborder = _step_puborder(kdir, model, records, cfg)
-        with _timed(stage_s, stage_rss, "greedy"):
-            matrix = paths_mod.divergence_matrix(model.theta)
-            greedy = _step_greedy(kdir, model, records, cfg, matrix)
-        with _timed(stage_s, stage_rss, "ranks"):
-            # The count pass sets a long reading list's peak RSS, on top of
-            # the live D x D matrix; give back the freed pages of the earlier
-            # stages first, or they stay resident under that peak.
-            _release_free_heap()
-            counts = paths_mod.rank_counts(matrix, np.arange(len(matrix)), perms)
-            # Free the D x D divergence matrix, and the pages of what is
-            # freed by now, before the bands load scipy and before the epoch
-            # fit: neither needs them, and the run's peak RSS falls in those.
-            del matrix
-            _release_free_heap()
-            ranks = exports_mod.write_ranks(kdir, paths_mod.rank_bands(counts))
-        with _timed(stage_s, stage_rss, "epochs"):
-            # First needed here, after the matrix is freed: the count pass's
-            # temporaries would otherwise stay resident under its peak.
-            if placements is None:
-                placements = _placements(records, cfg)
-            epoch_info = _step_epochs(kdir, series, records, cfg, nulls, placements)
-
+        done = {}
+        for name, step in _STEPS.items():
+            with _timed(stage_s, stage_rss, name):
+                done[name] = step(shared, kdir, model, done)
         exports_mod.write_summary(
-            kdir, model.k, len(records), cfg.seed, series, nulls, greedy, puborder, epoch_info, ranks
+            kdir, model.k, len(records), cfg.seed, done["surprise"], done["null"], done["greedy"],
+            done["puborder"], done["epochs"], done["ranks"],
         )
         exports_mod.write_manifest(kdir, model.k, cfg.export_matrix)
         _note(f"bundle complete: {kdir}")
@@ -398,10 +392,7 @@ def cmd_report(bundle: Path) -> None:
 
 # The pipeline stages, in order; `run` records each one's wall seconds and
 # peak RSS in run_meta.json.
-_STAGES = {
-    "ingest": cmd_ingest, "train": cmd_train, "surprise": cmd_surprise, "null": cmd_null,
-    "puborder": cmd_puborder, "greedy": cmd_greedy, "ranks": cmd_ranks, "epochs": cmd_epochs,
-}
+_STAGES = {"ingest": cmd_ingest, "train": cmd_train, **{name: _staged(step) for name, step in _STEPS.items()}}
 # Every subcommand, in `readpath --help` order.
 _COMMANDS = {**_STAGES, "run": cmd_run, "report": cmd_report}
 

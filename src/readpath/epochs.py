@@ -72,13 +72,16 @@ PRIOR_A0 = 1.0
 # with 128 (at L = 1,599, 39 against 53-63 ms per select_n_with_landscape).
 _BLOCK = 32
 
+# Lower bound on every segment variance, so a constant segment has a
+# finite log-likelihood.
+VARIANCE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class EpochSearchConfig:
     n_max: int = 3
     min_length: int | None = None  # index-count minimum; overrides min_years
     min_years: float | None = 5.0  # calendar minimum, resolved via read dates
-    variance_floor: float = 1e-12
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -89,8 +92,6 @@ class EpochSearchConfig:
             raise ValueError("min_length must be >= 2")
         if self.min_years is not None and self.min_years <= 0:
             raise ValueError("min_years must be positive")
-        if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _segment_stats(seg: np.ndarray, variance_floor: float):
     return float(mu), max(var, variance_floor)
 
 
-def segment_loglik(series, breaks, *, variance_floor: float = 1e-12) -> float:
+def segment_loglik(series, breaks, *, variance_floor: float = VARIANCE_FLOOR) -> float:
     """Profiled Gaussian log-likelihood of a given segmentation."""
     x = _series_values(series)
     if len(x) == 0:
@@ -160,7 +161,7 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[0.0], np.cumsum(c)]), np.concatenate([[0.0], np.cumsum(c * c)])
 
 
-def _loglik_scores(cs, css, min_len: np.ndarray, variance_floor: float, a, b) -> np.ndarray:
+def _loglik_scores(cs, css, min_len: np.ndarray, a, b) -> np.ndarray:
     """Profiled loglik of segments [a, b) over broadcast index arrays, or
     -inf where a segment is shorter than the minimum of its start."""
     m = b - a
@@ -168,7 +169,7 @@ def _loglik_scores(cs, css, min_len: np.ndarray, variance_floor: float, a, b) ->
     ss = css[b] - css[a]
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = s / m
-        var = np.maximum(ss / m - mu * mu, variance_floor)
+        var = np.maximum(ss / m - mu * mu, VARIANCE_FLOOR)
         score = -(m / 2.0) * (1.0 + np.log(2.0 * np.pi * var))
     score[m < min_len[a]] = -np.inf
     return score
@@ -293,10 +294,10 @@ def _ml_breaks(score, best: np.ndarray, n: int) -> list[int]:
     return breaks
 
 
-def _model(x: np.ndarray, breaks: list[int], variance_floor: float) -> EpochModel:
+def _model(x: np.ndarray, breaks: list[int]) -> EpochModel:
     bounds = breaks + [len(x)]
-    stats = [_segment_stats(x[s:e], variance_floor) for s, e in zip(bounds, bounds[1:])]
-    ll = segment_loglik(x, breaks, variance_floor=variance_floor)
+    stats = [_segment_stats(x[s:e], VARIANCE_FLOOR) for s, e in zip(bounds, bounds[1:])]
+    ll = segment_loglik(x, breaks)
     n_params = 3 * len(breaks) - 1
     return EpochModel(
         breaks=tuple(breaks),
@@ -308,9 +309,9 @@ def _model(x: np.ndarray, breaks: list[int], variance_floor: float) -> EpochMode
     )
 
 
-def _loglik_scorer(x: np.ndarray, min_len: np.ndarray, variance_floor: float) -> partial:
+def _loglik_scorer(x: np.ndarray, min_len: np.ndarray) -> partial:
     """`_loglik_scores` bound to the prefix sums and minimums of series x."""
-    return partial(_loglik_scores, *_prefix_sums(x), min_len, variance_floor)
+    return partial(_loglik_scores, *_prefix_sums(x), min_len)
 
 
 def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = None) -> EpochModel:
@@ -328,9 +329,9 @@ def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = No
     if n == 1:  # one segment, the whole series: no search
         if length < min_len[0]:
             raise _infeasible(length, 1)
-        return _model(x, [0], config.variance_floor)
-    score = _loglik_scorer(x, min_len, config.variance_floor)
-    return _model(x, _ml_breaks(score, _suffix_dp(score, min_len, n, _row_max), n), config.variance_floor)
+        return _model(x, [0])
+    score = _loglik_scorer(x, min_len)
+    return _model(x, _ml_breaks(score, _suffix_dp(score, min_len, n, _row_max), n))
 
 
 def evidence_prior(series, config: EpochSearchConfig) -> dict:
@@ -338,7 +339,7 @@ def evidence_prior(series, config: EpochSearchConfig) -> dict:
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    var = max(float(np.var(x)), config.variance_floor)
+    var = max(float(np.var(x)), VARIANCE_FLOOR)
     return {"m0": float(x.mean()), "kappa0": PRIOR_KAPPA0, "a0": PRIOR_A0, "b0": PRIOR_A0 * var}
 
 
@@ -385,8 +386,9 @@ def select_n_with_landscape(
     dates: list[date] | None = None,
     log_placements: np.ndarray | None = None,
 ) -> tuple[EpochModel, list[dict], np.ndarray]:
-    """`select_n` and `single_break_landscape` of one series: an evidence
-    pass and one max pass for every n's breaks. ``log_placements`` is
+    """`select_n` and `single_break_landscape` of one series, from one
+    bound loglik scorer: an evidence pass and one max pass for every n's
+    breaks. ``log_placements`` is
     `placement_log_counts` of the series' length and dates, computed here
     when not given."""
     x = _series_values(series)
@@ -398,12 +400,9 @@ def select_n_with_landscape(
     elif np.shape(log_placements) != (config.n_max,):
         raise ValueError(f"need one placement count per n = 1..{config.n_max}")
     evidence = _log_evidence(x, config, min_len, log_placements)
-    score = _loglik_scorer(x, min_len, config.variance_floor)
+    score = _loglik_scorer(x, min_len)
     best = _suffix_dp(score, min_len, config.n_max, _row_max)
-    models = [
-        _model(x, _ml_breaks(score, best, n), config.variance_floor)
-        for n in range(1, config.n_max + 1)
-    ]
+    models = [_model(x, _ml_breaks(score, best, n)) for n in range(1, config.n_max + 1)]
     chosen = int(np.argmax(evidence))
     rows = [
         {
@@ -418,7 +417,7 @@ def select_n_with_landscape(
         }
         for i, m in enumerate(models)
     ]
-    return models[chosen], rows, single_break_landscape(x, config, dates)
+    return models[chosen], rows, _landscape(score, len(x))
 
 
 def select_n(
@@ -456,8 +455,11 @@ def single_break_landscape(
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    length = len(x)
-    score = _loglik_scorer(x, _min_length_by_start(length, config, dates), config.variance_floor)
+    return _landscape(_loglik_scorer(x, _min_length_by_start(len(x), config, dates)), len(x))
+
+
+def _landscape(score, length: int) -> np.ndarray:
+    """`single_break_landscape` from the series' bound `_loglik_scorer`."""
     inner = np.arange(1, length)
     out = np.full(length + 1, np.nan)
     v = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import CorpusMatrix, Vocabulary, VolumeRecord
 from .errors import InputError, read_text
+from .surprise import SERIES_VALUES
 from .topics import TopicModel, TopicModelParams
 
 CACHE_FORMAT_VERSION = 1
@@ -71,7 +72,7 @@ def bundle_files(export_matrix: bool) -> list[str]:
     per_kind = ("series_{}.csv", "series_{}.meta.json", "null_{}.json", "null_{}.csv", "puborder_{}.csv",
                 "puborder_{}.meta.json", "greedy_{}.csv", "epochs_{}.json", "landscape_{}.csv")
     names = ["model.bin", "model.meta.json", "ranks.csv", "ranks.json", "summary.json"]
-    names += [name.format(kind) for kind in ("t2t", "t2p") for name in per_kind]
+    names += [name.format(kind.lower()) for kind in SERIES_VALUES for name in per_kind]
     return sorted(names + ["matrix.csv"] * export_matrix)
 
 

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import InputError
 from .surprise import (
     PUBLICATION_ORDER,
+    SERIES_VALUES,
     SurpriseSeries,
     _check_sequence,
     _kl_rows,
@@ -48,7 +49,7 @@ from .surprise import (
 )
 
 # The kinds that both ensembles compute, in the order of `_OrderValues` rows.
-KINDS = ("T2T", "T2P")
+KINDS = tuple(SERIES_VALUES)
 
 # Stream tag for within-year shuffles, disjoint from per-sample tags (0..M-1).
 _PUBORDER_STREAM = 2**62

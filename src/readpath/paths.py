@@ -5,14 +5,16 @@ the surprise of moving to document j immediately after document i, so a
 greedy walk scans its current row for the smallest unvisited entry. The
 matrix is generally asymmetric.
 
-`rank_distribution` ranks each consecutive move's divergence within its
+The rank statistics rank each consecutive move's divergence within its
 row (1 = nearest neighbor), excluding the self entry, with equal
-divergences sharing the minimum (competition) rank. It sorts each matrix
-row once and ranks every move of the observed and the M null orders by
-binary search in its row: O(D² log D + M·D log D) time and O(M·D) extra
-memory. It is two steps: `rank_counts`, the only one that reads the
-matrix, and `rank_bands`, the Clopper-Pearson bands, the only one that
-loads scipy; `run` frees the D x D matrix between them.
+divergences sharing the minimum (competition) rank, and compare the
+observed order's log-binned ranks with the null orders'. They are two
+steps. `rank_counts`, the only one that reads the matrix, sorts each row
+once and ranks every move of the observed and the M null orders by binary
+search in its row: O(D² log D + M·D log D) time and O(M·D) extra memory.
+`rank_bands`, the Clopper-Pearson bands, is the only one that loads
+scipy. The ranks step frees the D x D matrix between them, in `run` and
+staged alike.
 """
 
 from __future__ import annotations
@@ -213,14 +215,6 @@ def rank_bands(counts: RankCounts) -> RankDistribution:
         ratio_low=ratio_low,
         ratio_high=ratio_high,
     )
-
-
-def rank_distribution(matrix, observed_order, null_orders) -> RankDistribution:
-    """Log-binned rank histogram of the observed order against the null
-    ensemble's orders, with per-bin observed/null ratios and 95% bands:
-    `rank_bands` of `rank_counts`. A caller that can drop the matrix calls
-    the two itself and drops it in between."""
-    return rank_bands(rank_counts(matrix, observed_order, null_orders))
 
 
 def _beta_bound(count: int, n: int, q: float) -> float:

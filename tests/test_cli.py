@@ -572,13 +572,19 @@ class TestArtifactChecks:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def _fresh_interpreter(code: str, *args: str) -> int:
-    """Exit code of ``code`` run in a new interpreter that imports readpath
-    from the tested sources."""
+def _python(*args: str) -> int:
+    """Exit code of a new interpreter, run with ``args``, that imports
+    readpath from the tested sources."""
     src = str(Path(readpath.__file__).resolve().parents[1])
     entries = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env).returncode
+    return subprocess.run([sys.executable, *args], env=env).returncode
+
+
+def _fresh_interpreter(code: str, *args: str) -> int:
+    """Exit code of ``code`` run in a new interpreter that imports readpath
+    from the tested sources."""
+    return _python("-c", code, *args)
 
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -647,18 +653,64 @@ assert seen, "run never computed the bands"
 """
 
 
+# Prepended to the probe by its negative control: every divergence matrix
+# the program computes stays referenced from a list.
+_KEEP_MATRICES = """
+from readpath import paths
+kept, matrix_of = [], paths.divergence_matrix
+
+def kept_matrix(thetas):
+    kept.append(matrix_of(thetas))
+    return kept[-1]
+
+paths.divergence_matrix = kept_matrix
+"""
+
+
 class TestRanksAfterMatrix:
     def test_run_frees_matrix_before_bands_load_scipy(self, tmp_path):
         cfg = build_demo(tmp_path)
         assert _fresh_interpreter(_BANDS_PROBE, str(cfg), "12") == 0
 
-    def test_probe_sees_a_live_matrix(self, tmp_path):
-        """The probe itself: the staged `ranks` keeps its matrix alive
-        through `rank_distribution`, so the same check must fail there."""
+    def test_staged_ranks_frees_matrix_before_bands_load_scipy(self, tmp_path):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
         probe = _BANDS_PROBE.replace('main(["run"', 'main(["ranks"')
-        assert _fresh_interpreter(probe, str(cfg), "12") == 1
+        assert _fresh_interpreter(probe, str(cfg), "12") == 0
+
+    def test_probe_sees_a_live_matrix(self, tmp_path):
+        """The probe itself: with every divergence matrix kept alive, the
+        same check must fail."""
+        cfg = build_demo(tmp_path)
+        assert _fresh_interpreter(_KEEP_MATRICES + _BANDS_PROBE, str(cfg), "12") == 1
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+class TestTracedSpans:
+    """perfbench's tracer wraps, after import, each module function that
+    `cli` calls through a module alias. A step that held the function
+    object itself would call past the wrapper, and its calls would drop
+    out of the trace."""
+
+    @pytest.mark.parametrize(
+        ("command", "spans"),
+        [
+            ("run", {"nullmodel.null_permutations", "nullmodel.build_null", "paths.rank_counts",
+                     "paths.rank_bands", "epochs.select_n_with_landscape"}),
+            ("ranks", {"nullmodel.null_permutations", "paths.rank_counts", "paths.rank_bands"}),
+        ],
+    )
+    def test_trace_holds_the_step_spans(self, tmp_path, command, spans):
+        cfg = build_demo(tmp_path)
+        if command != "run":
+            assert main(["run", "--config", str(cfg)]) == 0
+        trace = tmp_path / "trace.json"
+        assert _python(str(TRACER), str(trace), command, "--config", str(cfg)) == 0
+        traced = json.loads(trace.read_text(encoding="utf-8"))
+        assert spans <= {span["name"] for span in traced["spans"]}
+        assert traced["counts"]["nullmodel.permutations_drawn"] == DEMO_SAMPLES
 
 
 class TestReport:

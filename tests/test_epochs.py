@@ -12,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 
 from readpath.epochs import (
     _BLOCK,
+    VARIANCE_FLOOR,
     EpochSearchConfig,
     _infeasible,
     _min_length_by_start,
@@ -440,7 +441,7 @@ def table_log_evidence(x, config, dates):
 def table_breaks_and_landscape(x, config, dates):
     """Per n, the ML breaks or the infeasibility message, and the landscape,
     from one score table."""
-    table = _segment_score_table(x, _min_length_by_start(len(x), config, dates), config.variance_floor)
+    table = _segment_score_table(x, _min_length_by_start(len(x), config, dates), VARIANCE_FLOOR)
     best = _best_suffix_scores(table, config.n_max)
     per_n = []
     for n in range(1, config.n_max + 1):

@@ -9,7 +9,8 @@ from readpath.paths import (
     divergence_matrix,
     greedy_t2p_path,
     greedy_t2t_path,
-    rank_distribution,
+    rank_bands,
+    rank_counts,
 )
 from readpath.surprise import kl_divergence, t2p_series
 
@@ -17,7 +18,7 @@ from conftest import random_simplex
 
 
 def consecutive_ranks(matrix: np.ndarray, order) -> np.ndarray:
-    """Plain reference for the ranks inside `rank_distribution`: rank of
+    """Plain reference for the ranks inside `rank_counts`: rank of
     each consecutive move's divergence within its row (1 = nearest
     neighbor), excluding the self entry; equal divergences share the
     minimum (competition) rank."""
@@ -204,7 +205,7 @@ class TestRanks:
         m = _random_matrix(rng, 4)
         null_orders = np.array([rng.permutation(4) for _ in range(3)])
         with pytest.raises(ValueError, match="permutation"):
-            rank_distribution(m, [0, 1, 1, 3], null_orders)
+            rank_bands(rank_counts(m, [0, 1, 1, 3], null_orders))
         with pytest.raises(ValueError):
             consecutive_ranks(m, [0, 1, 1, 3])
 
@@ -213,7 +214,7 @@ class TestRanks:
         m = _random_matrix(rng, d)
         observed = list(range(d))
         null_orders = np.array([rng.permutation(d) for _ in range(200)])
-        rd = rank_distribution(m, observed, null_orders)
+        rd = rank_bands(rank_counts(m, observed, null_orders))
         assert rd.bin_edges[0] == 1.0
         assert rd.bin_edges[-1] >= d - 1
         assert rd.observed_counts.sum() == d - 1
@@ -239,7 +240,7 @@ class TestRanks:
         orders = np.array([rng.permutation(d) for _ in range(n_null + 1)])
         expected = np.array([consecutive_ranks(m, o) for o in orders])
         np.testing.assert_array_equal(np.vstack(_move_ranks(m, orders[0], orders[1:])), expected)
-        rd = rank_distribution(m, orders[0], orders[1:])
+        rd = rank_bands(rank_counts(m, orders[0], orders[1:]))
         np.testing.assert_array_equal(rd.observed_ranks, expected[0])
         np.testing.assert_array_equal(rd.null_counts, np.histogram(expected[1:], bins=rd.bin_edges)[0])
 
@@ -250,4 +251,4 @@ class TestRanks:
     )
     def test_bad_null_orders_rejected(self, rng, null_orders):
         with pytest.raises(ValueError):
-            rank_distribution(_random_matrix(rng, 4), np.arange(4), null_orders)
+            rank_bands(rank_counts(_random_matrix(rng, 4), np.arange(4), null_orders))
