@@ -3,9 +3,7 @@
 Subcommands cover each pipeline stage (ingest, train, surprise, null,
 puborder, greedy, ranks, epochs) plus `run` for the whole chain and
 `report` to pretty-print a result bundle; `_COMMANDS` lists them with
-their steps. The six analysis stages are one table of step functions,
-`_STEPS`, which `run` runs on each k's trained model; each staged command
-runs its one step on each k's saved model. Every value in the config file can be overridden with a flag
+their steps. Every value in the config file can be overridden with a flag
 of the same dotted name, e.g. ``--topics.k 40`` or ``--null.samples=200``;
 the common flags ``--out``, ``--seed``, ``--k``, ``--samples`` and
 ``--threads`` are shorthand for ``--run.out``, ``--run.seed``,
@@ -14,6 +12,10 @@ the dotted names. `config.load_run_config` builds the file and the
 overrides into one frozen `RunConfig`, and each step passes its stage's
 config (``cfg.corpus``, ``cfg.topics``, ``cfg.null``, ``cfg.epochs``) to
 the compute modules.
+
+The six analysis stages are one table of step functions, `_STEPS`: `run`
+runs it on each k's trained model, and each staged command runs its one
+step on each k's saved model.
 
 Every artifact is written and read through `exports`, which owns the file
 names and formats. All exports are byte-deterministic for a fixed (inputs,
@@ -277,8 +279,8 @@ def _staged(step):
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    """Whole pipeline: ingest (when needed), train per k, every analysis
-    step, one bundle directory per k with a summary and a file manifest."""
+    """Whole pipeline: ingest (when needed), train per k, every analysis,
+    one bundle directory per k with a summary and a file manifest."""
     stage_s = dict.fromkeys(_STAGES, 0.0)
     stage_rss = dict.fromkeys(_STAGES, 0.0)
     cfg.out.mkdir(parents=True, exist_ok=True)

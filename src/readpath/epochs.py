@@ -388,9 +388,8 @@ def select_n_with_landscape(
 ) -> tuple[EpochModel, list[dict], np.ndarray]:
     """`select_n` and `single_break_landscape` of one series, from one
     bound loglik scorer: an evidence pass and one max pass for every n's
-    breaks. ``log_placements`` is
-    `placement_log_counts` of the series' length and dates, computed here
-    when not given."""
+    breaks. ``log_placements`` is `placement_log_counts` of the series'
+    length and dates, computed here when not given."""
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")

@@ -613,8 +613,8 @@ class TestImportCost:
         assert _fresh_interpreter(code, str(cfg)) == 0
 
 
-# Run in a new interpreter by the test below: wraps the rank bands, the step
-# that loads scipy in `run`, and at its first call looks for a live D x D
+# Run in a new interpreter by the tests below: wraps the rank bands, the step
+# that loads scipy in `ranks`, and at its first call looks for a live D x D
 # array. ndarrays are not GC-tracked, so they are found as the referents of
 # the tracked objects and as the locals of every frame on the stack; a view
 # counts as its base.
