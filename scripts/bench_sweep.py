@@ -7,16 +7,21 @@ each repeat, ns per (token, topic) update as perfbench counts it (sweep_k
 seconds over tokens x sum(k) x sweeps), the share of tokens whose
 (document, word) pair equals the previous token's, the peak RSS, and a
 SHA-256 over every model's theta and phi bytes, so two source trees can be
-compared for speed and for identical results.
+compared for speed and for identical results. It also prints the kernel's
+build flags (``-mavx2`` when the CPU has AVX2).
 
 Usage:
     PYTHONPATH=src python scripts/bench_sweep.py --corpus out --k-list 80 --sweeps 40
     PYTHONPATH=src python scripts/bench_sweep.py --zipf 75,40000,30000 --k-list 80 --sweeps 100
+    PYTHONPATH=src python scripts/bench_sweep.py --builds 15
 
 ``--zipf D,N,V`` draws D documents of N tokens each from a Zipf(1) law over
 V words, in memory. ``--last-sweep-stats`` also replays each chain sweep by
 sweep and reports, among repeated tokens of the last sweep, the share whose
 previous token drew the topic this token gives back (every term reused).
+``--builds N`` also compiles the kernel N times, each into an empty
+temporary cache (what a process with an empty cache pays), and prints the
+median wall seconds; with no corpus it prints only that.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import resource
 import statistics
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -72,9 +80,20 @@ def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> f
     return float((z[:-1] == before[1:])[repeat].mean())
 
 
+def median_build_s(n: int) -> float:
+    """Median wall seconds of ``n`` kernel builds, each into an empty cache."""
+    seconds = []
+    for _ in range(n):
+        with tempfile.TemporaryDirectory() as cache, mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+            t0 = time.perf_counter()
+            topics._build_kernel()
+            seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group(required=True)
+    src = ap.add_mutually_exclusive_group()
     src.add_argument("--corpus", help="output directory of `readpath ingest` (its corpus cache)")
     src.add_argument("--zipf", help="D,N,V: D documents of N tokens over V words")
     ap.add_argument("--k-list", default="80")
@@ -83,7 +102,18 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--last-sweep-stats", action="store_true")
+    ap.add_argument("--builds", type=int, default=0, help="time N kernel builds into empty caches")
     args = ap.parse_args()
+    if not (args.corpus or args.zipf or args.builds > 0):
+        ap.error("give --corpus, --zipf or --builds N")
+
+    out = {"kernel_flags": " ".join(topics.kernel_flags())}
+    if args.builds > 0:
+        out["kernel_builds"] = args.builds
+        out["kernel_build_s_median"] = round(median_build_s(args.builds), 4)
+    if not (args.corpus or args.zipf):
+        print(json.dumps(out))
+        return
 
     if args.corpus:
         corpus = load_cache(Path(args.corpus))[2]
@@ -105,7 +135,7 @@ def main() -> None:
             h.update(m.phi.tobytes())
         digest = h.hexdigest()
     updates = corpus.total_tokens * sum(k_list) * args.sweeps
-    out = {
+    out |= {
         "tokens": corpus.total_tokens,
         "docs": corpus.n_docs,
         "vocab": corpus.n_vocab,

@@ -320,6 +320,7 @@ def cmd_run(cfg: RunConfig) -> None:
             "stage_peak_rss_mb": stage_rss,
             "peak_rss_mb": _peak_rss_mb(),
             "sweep_kernel": topics_mod.sweep_kernel(),
+            "sweep_kernel_flags": " ".join(topics_mod.kernel_flags()),
         },
     )
     # Give the freed heap's pages back before interpreter teardown, which

@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import CorpusMatrix, Vocabulary, VolumeRecord
 from .errors import InputError, read_text
 from .surprise import SERIES_VALUES
-from .topics import TopicModel, TopicModelParams
+from .topics import TopicModel, TopicModelParams, kernel_flags
 
 CACHE_FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 1
@@ -254,7 +254,8 @@ def load_cache(out: Path) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix,
 def save_model(kdir: Path, model: TopicModel) -> None:
     """``model.bin``, one canonical-JSON header line and then theta and phi as
     row-major float64 bytes (no timestamps, so identical models serialize
-    to identical bytes), and ``model.meta.json``, which records its sha256."""
+    to identical bytes), and ``model.meta.json``, which records its sha256
+    and the build flags of the sweep kernel."""
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "topic-model",
@@ -282,6 +283,7 @@ def save_model(kdir: Path, model: TopicModel) -> None:
             "iterations": model.params.iterations,
             "corpus_fingerprint": model.corpus_fingerprint,
             "model_sha256": digest.hexdigest(),
+            "sweep_kernel_flags": " ".join(kernel_flags()),
         },
     )
 

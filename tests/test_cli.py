@@ -97,6 +97,15 @@ class TestRun:
         assert meta["sweep_kernel"] == topics.sweep_kernel()
         assert meta["k_list"] == [2, 3] and meta["seed"] == 5
 
+    def test_sidecars_record_the_kernel_flags(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
+        flags = " ".join(topics.kernel_flags())
+        assert flags.startswith("-O2 -ffp-contract=off")
+        out = tmp_path / "out"
+        for path in (out / "run_meta.json", out / "k2" / "model.meta.json", out / "k3" / "model.meta.json"):
+            assert json.loads(path.read_text())["sweep_kernel_flags"] == flags, path
+
     def test_override_flag_changes_k(self, tmp_path):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg), "--k", "3"]) == 0

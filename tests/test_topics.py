@@ -140,6 +140,18 @@ class TestTrain:
             TopicModelParams(iterations=0)
 
 
+@pytest.fixture(params=[2, 4], ids=["2-lanes", "4-lanes-avx2"])
+def sweep_width(request, monkeypatch, kernel_cache):
+    """Lanes of the sweep that `_load_kernel` then builds into an empty
+    cache: the CPU probe is patched, and 4 (AVX2) is skipped on a CPU
+    without AVX2."""
+    avx2 = request.param == 4
+    if avx2 and not topics._cpu_has_avx2():
+        pytest.skip("this CPU has no AVX2")
+    monkeypatch.setattr(topics, "_cpu_has_avx2", lambda: avx2)
+    return request.param
+
+
 class TestCompiledSweep:
     def test_compiled_kernel_in_use(self):
         assert sweep_kernel() == "c"
@@ -164,6 +176,52 @@ class TestCompiledSweep:
             slow = train(matrix, p)
             assert np.array_equal(fast.theta, slow.theta), p
             assert np.array_equal(fast.phi, slow.phi), p
+
+    def test_each_width_bitwise_equal_to_python_sweep(self, rng, monkeypatch, sweep_width):
+        """Each width the host runs, for k below, at and around 2 and 4 lanes."""
+        assert ("-mavx2" in topics.kernel_flags()) == (sweep_width == 4)
+        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=30, words_per_topic=10)
+        cases = [TopicModelParams(k=k, iterations=4, seed=k) for k in (2, 3, 4, 5, 7, 8, 9, 17, 80, 81)]
+        compiled = [train(matrix, p) for p in cases]
+        with monkeypatch.context() as m:
+            m.setattr(topics, "_load_kernel", lambda: _python_kernel)
+            for p, fast in zip(cases, compiled):
+                slow = train(matrix, p)
+                assert np.array_equal(fast.theta, slow.theta), p
+                assert np.array_equal(fast.phi, slow.phi), p
+
+    def test_each_width_is_its_own_cached_library(self, monkeypatch, kernel_cache):
+        commands = []
+        run = topics.subprocess.run
+        monkeypatch.setattr(topics.subprocess, "run",
+                            lambda cmd, **kw: commands.append(cmd) or run(cmd, **kw))
+        monkeypatch.setattr(topics, "_cpu_has_avx2", lambda: False)
+        assert "-mavx2" not in topics.kernel_flags()
+        two = topics._build_kernel()
+        assert "-mavx2" not in commands[-1]
+        monkeypatch.setattr(topics, "_cpu_has_avx2", lambda: True)
+        four = topics._build_kernel()
+        assert "-mavx2" in commands[-1]
+        assert two != four
+        assert sorted(kernel_cache.glob("readpath/gibbs-*.so")) == sorted([two, four])
+        # a second look finds each in the cache and runs no compiler
+        monkeypatch.setattr(topics, "_cpu_has_avx2", lambda: False)
+        assert topics._build_kernel() == two and len(commands) == 2
+
+    @pytest.mark.parametrize("machine, flags, avx2", [
+        ("x86_64", "fpu sse2 avx avx2 fma", True),
+        ("x86_64", "fpu sse2 avx avx512f", False),
+        ("aarch64", "fp asimd avx2", False),
+    ])
+    def test_cpu_probe_reads_the_first_flags_line(self, tmp_path, monkeypatch, machine, flags, avx2):
+        cpuinfo = tmp_path / "cpuinfo"
+        cpuinfo.write_text(f"processor\t: 0\nflags\t\t: {flags}\n\nprocessor\t: 1\nflags\t\t: avx2\n")
+        monkeypatch.setattr(topics, "_CPUINFO", cpuinfo)
+        monkeypatch.setattr(topics.sys, "platform", "linux")
+        monkeypatch.setattr(topics.platform, "machine", lambda: machine)
+        assert topics._cpu_has_avx2() is avx2
+        monkeypatch.setattr(topics, "_CPUINFO", tmp_path / "missing")
+        assert topics._cpu_has_avx2() is False
 
 
 _LAST_U = float(np.nextafter(1.0, 0.0))
@@ -197,9 +255,9 @@ def sweep_cases(draw):
 
 class TestSweepReuse:
     """The compiled sweep reuses its terms across a run of one (document,
-    word) pair and binary-searches the draw; the pure-Python sweep
-    recomputes every term and scans. Both must leave the same state after
-    every sweep."""
+    word) pair and draws by counting the running sums below r, several
+    lanes at a time; the pure-Python sweep recomputes every term and scans.
+    Both must leave the same state after every sweep."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=sweep_cases())
@@ -214,6 +272,10 @@ class TestSweepReuse:
     @example(case=_sweep_case(5, [(0, 0)] * 3, [0, 3, 3], [[_LAST_U, 0.5, 0.5]] * 2))
     # A tie: both terms equal, so r = 0.5 * 2x = cum[0] and the draw is 0.
     @example(case=_sweep_case(2, [(0, 0)] * 3, [0, 0, 1], [[0.5, 0.5, 0.5]]))
+    # A tie inside the lanes: token 0 gives back topic 0 and sees the terms
+    # (1 + a)(1 + b)/(1 + b), then a sixteen times; this u makes r = cum[4]
+    # exactly, so the draw is 4 (5 for a count of cum[j] <= r).
+    @example(case=_sweep_case(17, [(0, 0)] * 2, [0, 0], [[0.30795847750865063, 0.5]]))
     def test_same_state_as_python_sweep(self, case):
         assert sweep_kernel() == "c"
         kernel = topics._load_kernel()
@@ -232,6 +294,51 @@ class TestSweepReuse:
             _gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
+
+    @staticmethod
+    def _plateau_state():
+        """z, n_dk, n_kv, n_k for one token (document 0, word 0, topic 0;
+        V = 1) whose term 6 is too small to move the running sum, so
+        cum[5] == cum[6]. No token stream of test size reaches such counts:
+        the term must be below half an ulp of the sum before it."""
+        rows = np.array([[2, 1, 1, 1, 1, 10**5, 0, 10**5, 1]], dtype=np.int32)
+        n_k = np.array([2, 1, 1, 1, 1, 10**5, 2 * 10**9, 10**5, 1], dtype=np.int32)
+        return [np.zeros(1, dtype=np.int32), rows, rows.copy(), n_k]
+
+    @pytest.mark.parametrize("on_plateau", [False, True], ids=["r-above", "r-on-plateau"])
+    def test_plateau_same_draw_as_python_sweep(self, sweep_width, on_plateau):
+        kernel = topics._load_kernel()
+        k, alpha, beta = 9, 0.01, 0.01
+        token = np.zeros(1, dtype=np.int32)
+        cum = np.empty(k)
+        _gibbs_sweep(token, token, *self._plateau_state(), alpha, beta, np.zeros(1), cum)
+        assert cum[5] == cum[6] < cum[7]
+        # On the plateau, r == cum[5] == cum[6] and the draw is 5 (7 for a
+        # count of cum[j] <= r); above it, r lies between cum[6] and cum[7].
+        u = 0.5000100996929693 if on_plateau else 0.6
+        assert (u * cum[8] == cum[5]) == on_plateau and u * cum[8] < cum[7]
+        fast, slow = self._plateau_state(), self._plateau_state()
+        kernel(1, k, 1, token, token, *fast, alpha, beta, np.array([u]), np.empty(k), np.empty(k))
+        _gibbs_sweep(token, token, *slow, alpha, beta, np.array([u]), np.empty(k))
+        assert fast[0][0] == (5 if on_plateau else 7)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("u", [1.0, 2.0])
+    def test_draw_stays_in_its_rows_for_u_of_1_or_more(self, sweep_width, u):
+        """`_sweep` passes u < 1, which keeps r <= cum[k-1]. Beyond that the
+        count below k-1 still keeps the draw, and so every count it writes,
+        in the token's rows: each count array has a guard slot past row 0."""
+        kernel = topics._load_kernel()
+        k = 9
+        guarded = [np.zeros(k + 1, dtype=np.int32) for _ in range(3)]
+        for counts in guarded:
+            counts[0] = 1
+        z, token = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+        rows = [counts[:k] for counts in guarded]
+        kernel(1, k, 1, token, token, z, *rows, 0.5, 0.01, np.array([u]), np.empty(k), np.empty(k))
+        assert z[0] == k - 1
+        assert [counts[k] for counts in guarded] == [0, 0, 0]
 
 
 def _straddling_corpus() -> CorpusMatrix:
