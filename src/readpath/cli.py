@@ -234,7 +234,7 @@ def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, di
     dates = _series_dates(records)
     relative = cfg.epoch_input == "relative"
     out = {}
-    for kind in surprise_mod.SERIES_VALUES:
+    for kind in surprise_mod.KINDS:
         values = series[kind].values
         if nulls is not None:
             null_means = nulls[kind].position_mean
@@ -348,7 +348,7 @@ def _report_lines(summary: dict) -> list[str]:
         t2p = fmt.format(sur["T2P"][key])
         lines.append(f"  {label:<24}{t2t:>12}{t2p:>12}")
 
-    for kind in surprise_mod.SERIES_VALUES:
+    for kind in surprise_mod.KINDS:
         ep = summary["epochs"][kind]
         lines.append(f"\nepochs from {kind} surprise: n={ep['selected_n']} selected by Bayesian evidence")
         bounds = ep["breaks"] + [summary["documents"] - 1]

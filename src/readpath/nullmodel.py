@@ -16,17 +16,14 @@ kinds (`build_null`) and the rank statistics read the same M orders. It
 fills all M permutations slot by slot together, one array step per slot
 (D steps over M rows), in one `sample_batch` call.
 
-One evaluator, `_OrderValues`, gives both kinds of surprise of every
-sampled order: the M null orders and the Monte Carlo publication orders.
-Per order it gathers theta into one preallocated D x k buffer and writes
-the T2T and T2P rows with in-place arithmetic, the T2P past mean as a
-running sum divided by 1..D-1. It repeats `surprise`'s row kernel bit for
-bit, and allocates nothing per order: O(M * D * k) time and O(D * k)
-scratch, beside the (M, D-1) values of each kind that `build_null` reduces.
+Both ensembles evaluate their orders with `surprise._OrderValues`, the
+one evaluator of every order's surprise: the M null orders and the Monte
+Carlo publication orders, each order once for both kinds, in O(D * k)
+scratch beside the (M, D-1) values of each kind that `build_null` reduces.
 The within-year shuffles are drawn once per call, one order at a time,
-and each serves both kinds.
-The exact publication-order mean evaluates each year's tie orders through
-`surprise`'s row kernel in fixed-size blocks.
+and each serves both kinds. The exact publication-order mean evaluates
+each year's tie orders through `surprise`'s row kernel in fixed-size
+blocks.
 """
 
 from __future__ import annotations
@@ -39,17 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .surprise import (
-    PUBLICATION_ORDER,
-    SERIES_VALUES,
-    SurpriseSeries,
-    _check_sequence,
-    _kl_rows,
-    _pairwise_values,
-)
-
-# The kinds that both ensembles compute, in the order of `_OrderValues` rows.
-KINDS = tuple(SERIES_VALUES)
+from .surprise import KINDS, PUBLICATION_ORDER, SurpriseSeries, _check_sequence, _kl_rows, _OrderValues
 
 # Stream tag for within-year shuffles, disjoint from per-sample tags (0..M-1).
 _PUBORDER_STREAM = 2**62
@@ -77,45 +64,6 @@ class NullConfig:
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-class _OrderValues:
-    """Both surprise kinds of one order of the D rows of ``thetas``, with
-    the arithmetic of `surprise._pairwise_values` and
-    `surprise._window_mean_values` in the same order, so the same bits,
-    into buffers allocated once. The full-past mean is the running sum of
-    the rows before each position, divided by their count: the same bits
-    as the windowed form's (sum - 0.0) / count."""
-
-    def __init__(self, thetas: np.ndarray):
-        d, k = thetas.shape
-        self.thetas = thetas
-        self.q = np.empty((d, k))
-        self.work = np.empty((d - 1, k))
-        # Dividing by a full array, not a broadcast column, keeps the
-        # division contiguous; the quotients are the same.
-        self.counts = np.repeat(np.arange(1.0, d), k).reshape(d - 1, k)
-
-    def __call__(self, order: np.ndarray, out) -> None:
-        """Write the T2T and T2P values of ``order`` (D indices, each in
-        range) into ``out[0]`` and ``out[1]``, two rows of D - 1."""
-        q, work = self.q, self.work
-        np.take(self.thetas, order, axis=0, out=q, mode="clip")
-        np.divide(q[1:], q[:-1], out=work)
-        _kl_from_ratios(q[1:], work, out[0])
-        np.cumsum(q[:-1], axis=0, out=work)
-        np.divide(work, self.counts, out=work)  # the past means
-        np.divide(q[1:], work, out=work)
-        _kl_from_ratios(q[1:], work, out[1])
-
-
-def _kl_from_ratios(q: np.ndarray, ratios: np.ndarray, out: np.ndarray) -> None:
-    """`surprise._kl_rows` of (q, p) into ``out``, given ``ratios`` = q / p,
-    which it overwrites."""
-    np.log2(ratios, out=ratios)
-    np.multiply(q, ratios, out=ratios)
-    ratios.sum(axis=-1, out=out)
-    np.maximum(out, 0.0, out=out)
 
 
 class ConstrainedPermutationSampler:
@@ -320,15 +268,16 @@ def _exact_within_year_values(thetas: np.ndarray, groups: list[list[int]], kind:
             q = thetas[np.array(block)]
             if kind == "T2P":
                 start = np.broadcast_to(prefix, (len(block), 1, k))
-                past = np.cumsum(np.concatenate([start, q[:, :-1]], axis=1), axis=1)
-                nb = n_before + np.arange(m)
-                block_vals = _kl_rows(q[:, lo:], past[:, lo:] / nb[lo:, None])
+                past = np.cumsum(np.concatenate([start, q[:, :-1]], axis=1), axis=1)[:, lo:]
+                past /= (n_before + np.arange(lo, m))[:, None]
+                block_vals = _kl_rows(q[:, lo:], np.divide(q[:, lo:], past, out=past))
             else:
-                block_vals = _pairwise_values(q)
+                block_vals = _kl_rows(q[:, 1:], q[:, 1:] / q[:, :-1])
             acc[lo:] = np.cumsum(np.vstack([acc[lo:], block_vals]), axis=0)[-1]
         acc /= math.factorial(m)
         if kind == "T2T" and prev_group is not None:
-            pairs = _kl_rows(thetas[g][None, :, :], thetas[prev_group][:, None, :])
+            q = thetas[g][None, :, :]
+            pairs = _kl_rows(q, q / thetas[prev_group][:, None, :])
             acc[0] = float(np.mean(pairs.ravel()))
         parts.append(acc)
         prefix += thetas[g].sum(axis=0)

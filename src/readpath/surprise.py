@@ -8,10 +8,14 @@ silently bending the measure.
 
 Series conventions: for D ordered documents, surprise is defined at
 positions 1..D-1 (the first document has no predecessor), stored in a
-length D-1 array where ``values[j]`` belongs to position j+1. Every
-series value here comes from one row kernel, `_kl_rows`, which
-`nullmodel._OrderValues` repeats in place, bit for bit, for the sampled
-orders; the scalar `kl_divergence` is its test reference.
+length D-1 array where ``values[j]`` belongs to position j+1.
+
+Every surprise value of the program goes through one row kernel,
+`_kl_rows`, which turns the ratios q / p into KL rows in place. One order
+evaluator, `_OrderValues`, gives both kinds (`KINDS`) of any order of the
+rows of theta from it: the reading order here, and the null and Monte
+Carlo publication orders in `nullmodel`. The scalar `kl_divergence` is the
+kernel's test reference.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SERIES_KINDS = ("T2T", "T2P", "T2N")
+
+# The kinds that the null model and the publication order compare, in the
+# order of `_OrderValues` rows.
+KINDS = ("T2T", "T2P")
 
 READING_ORDER = "reading-order"
 PUBLICATION_ORDER = "publication-order"
@@ -86,31 +94,48 @@ class SurpriseSeries:
         return float(self.values.mean())
 
 
-def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """`kl_divergence` along the last axis of any stack of row pairs."""
-    return np.maximum(np.sum(q * np.log2(q / p), axis=-1), 0.0)
+def _kl_rows(q: np.ndarray, ratios: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`kl_divergence` along the last axis of any stack of row pairs (q, p),
+    given ``ratios`` = q / p, which it overwrites; into ``out`` when given."""
+    np.log2(ratios, out=ratios)
+    np.multiply(q, ratios, out=ratios)
+    out = ratios.sum(axis=-1, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _pairwise_values(thetas: np.ndarray) -> np.ndarray:
-    """KL from each row to the one before it (per order in a stack)."""
-    return _kl_rows(thetas[..., 1:, :], thetas[..., :-1, :])
+class _OrderValues:
+    """Both surprise kinds of any order of the D rows of ``thetas``, into
+    buffers allocated once: O(D * k) time per order and no allocation.
+    T2T compares each row with the one before it; T2P compares it with the
+    mean of the rows before it, their running sum divided by their count."""
+
+    def __init__(self, thetas: np.ndarray):
+        d, k = thetas.shape
+        self.thetas = thetas
+        self.q = np.empty((d, k))
+        self.work = np.empty((d - 1, k))
+        # Dividing by a full array, not a broadcast column, keeps the
+        # division contiguous; the quotients are the same.
+        self.counts = np.repeat(np.arange(1.0, d), k).reshape(d - 1, k)
+
+    def __call__(self, order: np.ndarray, out) -> None:
+        """Write the T2T and T2P values of ``order`` (D indices, each in
+        range) into ``out[0]`` and ``out[1]``, two rows of D - 1."""
+        q, work = self.q, self.work
+        np.take(self.thetas, order, axis=0, out=q, mode="clip")
+        np.divide(q[1:], q[:-1], out=work)
+        _kl_rows(q[1:], work, out[0])
+        np.cumsum(q[:-1], axis=0, out=work)
+        np.divide(work, self.counts, out=work)  # the past means
+        np.divide(q[1:], work, out=work)
+        _kl_rows(q[1:], work, out[1])
 
 
-def _window_mean_values(thetas: np.ndarray, n_window: int | None = None) -> np.ndarray:
-    """KL from each row to the mean of its preceding window (full past when
-    ``n_window`` is None or covers it)."""
-    d = thetas.shape[0]
-    cs = np.vstack([np.zeros(thetas.shape[1]), np.cumsum(thetas, axis=0)])
-    i = np.arange(1, d)
-    lo = np.zeros(d - 1, dtype=np.int64) if n_window is None else np.maximum(i - n_window, 0)
-    span = (i - lo).astype(np.float64)
-    past_mean = (cs[i] - cs[lo]) / span[:, None]
-    return _kl_rows(thetas[1:], past_mean)
-
-
-# The kinds that the null model and the publication order compare, with
-# the value functions that `nullmodel._OrderValues` repeats in place.
-SERIES_VALUES = {"T2T": _pairwise_values, "T2P": _window_mean_values}
+def _reading_values(thetas: np.ndarray) -> np.ndarray:
+    """The (T2T, T2P) rows of the order the rows of ``thetas`` are in."""
+    out = np.empty((len(KINDS), thetas.shape[0] - 1))
+    _OrderValues(thetas)(np.arange(thetas.shape[0]), out)
+    return out
 
 
 def _check_sequence(thetas) -> np.ndarray:
@@ -123,14 +148,14 @@ def _check_sequence(thetas) -> np.ndarray:
 def t2t_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Local surprise: KL from each document to the one read just before."""
     thetas = _check_sequence(thetas)
-    return SurpriseSeries(kind="T2T", values=_pairwise_values(thetas), ordering=ordering)
+    return SurpriseSeries(kind="T2T", values=_reading_values(thetas)[0], ordering=ordering)
 
 
 def t2p_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Global surprise: KL from each document to the unweighted mean of
     every document read before it."""
     thetas = _check_sequence(thetas)
-    return SurpriseSeries(kind="T2P", values=_window_mean_values(thetas), ordering=ordering)
+    return SurpriseSeries(kind="T2P", values=_reading_values(thetas)[1], ordering=ordering)
 
 
 def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> SurpriseSeries:
@@ -141,15 +166,18 @@ def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> Surprise
     if n_window < 1:
         raise ValueError(f"n_window must be >= 1, got {n_window}")
     thetas = _check_sequence(thetas)
+    d = thetas.shape[0]
     # The definition collapses at the extremes; reuse the identical
     # arithmetic there so the equalities hold exactly, not just to
     # rounding error.
-    if n_window == 1:
-        values = _pairwise_values(thetas)
-    elif n_window >= thetas.shape[0] - 1:
-        values = _window_mean_values(thetas)
+    if n_window == 1 or n_window >= d - 1:
+        values = _reading_values(thetas)[0 if n_window == 1 else 1]
     else:
-        values = _window_mean_values(thetas, n_window)
+        cs = np.vstack([np.zeros(thetas.shape[1]), np.cumsum(thetas, axis=0)])
+        i = np.arange(1, d)
+        lo = np.maximum(i - n_window, 0)
+        past = (cs[i] - cs[lo]) / (i - lo)[:, None]
+        values = _kl_rows(thetas[1:], np.divide(thetas[1:], past, out=past))
     return SurpriseSeries(kind="T2N", values=values, ordering=ordering, n_window=n_window)
 
 

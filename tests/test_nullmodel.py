@@ -14,14 +14,36 @@ from readpath.errors import InputError
 from readpath.nullmodel import (
     ConstrainedPermutationSampler,
     NullConfig,
-    _OrderValues,
     build_null,
     null_permutations,
     publication_order_series,
 )
-from readpath.surprise import SERIES_VALUES, kl_divergence, t2p_series, t2t_series
+from readpath.surprise import _OrderValues, kl_divergence, t2p_series, t2t_series
 
 from conftest import make_records, random_simplex
+
+
+def kl_rows(q, p):
+    """`kl_divergence` along the last axis, in plain array arithmetic."""
+    return np.maximum(np.sum(q * np.log2(q / p), axis=-1), 0.0)
+
+
+def pairwise_values(thetas):
+    """T2T oracle: KL from each row to the one before it."""
+    return kl_rows(thetas[1:], thetas[:-1])
+
+
+def window_mean_values(thetas):
+    """T2P oracle: KL from each row to the mean of every row before it."""
+    d = thetas.shape[0]
+    cs = np.vstack([np.zeros(thetas.shape[1]), np.cumsum(thetas, axis=0)])
+    i = np.arange(1, d)
+    lo = np.zeros(d - 1, dtype=np.int64)
+    span = (i - lo).astype(np.float64)
+    return kl_rows(thetas[1:], (cs[i] - cs[lo]) / span[:, None])
+
+
+SERIES_VALUES = {"T2T": pairwise_values, "T2P": window_mean_values}
 
 
 def scalar_exact_within_year_values(thetas, groups, kind):
