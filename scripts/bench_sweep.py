@@ -21,7 +21,13 @@ sweep and reports, among repeated tokens of the last sweep, the share whose
 previous token drew the topic this token gives back (every term reused).
 ``--builds N`` also compiles the kernel N times, each into an empty
 temporary cache (what a process with an empty cache pays), and prints the
-median wall seconds; with no corpus it prints only that.
+median wall seconds; with no corpus it prints only that. ``--per-k`` times
+each k of ``--k-list`` as its own one-thread chain instead (the median of
+``--repeats``), and prints each k's ns per token and their least-squares
+split into a fixed part and a part per topic: ns per token = fixed +
+per_topic * k.
+
+    PYTHONPATH=src python scripts/bench_sweep.py --corpus out --k-list 2,20,40,80 --sweeps 40 --per-k
 """
 
 from __future__ import annotations
@@ -80,6 +86,35 @@ def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> f
     return float((z[:-1] == before[1:])[repeat].mean())
 
 
+def models_digest(models) -> str:
+    h = hashlib.sha256()
+    for m in models:
+        h.update(m.theta.tobytes())
+        h.update(m.phi.tobytes())
+    return h.hexdigest()
+
+
+def per_k_split(corpus: CorpusMatrix, k_list: list[int], params: topics.TopicModelParams, repeats: int) -> dict:
+    """Each k's chain alone on one thread, ns per token (median of
+    ``repeats``), and the least-squares line ns per token = fixed +
+    per_topic * k through them."""
+    ns, models = {}, []
+    for k in k_list:
+        seconds = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            model = topics.sweep_k(corpus, [k], params, threads=1)[0]
+            seconds.append(time.perf_counter() - t0)
+        models.append(model)
+        ns[k] = 1e9 * statistics.median(seconds) / (corpus.total_tokens * params.iterations)
+    out = {"tokens": corpus.total_tokens, "sweeps": params.iterations, "repeats": repeats,
+           "ns_per_token": {str(k): round(v, 2) for k, v in ns.items()}, "models_sha256": models_digest(models)}
+    if len(ns) > 1:
+        per_topic, fixed = np.polyfit(list(ns), list(ns.values()), 1)
+        out |= {"fixed_ns_per_token": round(fixed, 2), "ns_per_token_per_topic": round(per_topic, 3)}
+    return out
+
+
 def median_build_s(n: int) -> float:
     """Median wall seconds of ``n`` kernel builds, each into an empty cache."""
     seconds = []
@@ -102,6 +137,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=1)
     ap.add_argument("--last-sweep-stats", action="store_true")
+    ap.add_argument("--per-k", action="store_true", help="time each k as its own one-thread chain")
     ap.add_argument("--builds", type=int, default=0, help="time N kernel builds into empty caches")
     args = ap.parse_args()
     if not (args.corpus or args.zipf or args.builds > 0):
@@ -124,16 +160,17 @@ def main() -> None:
     params = topics.TopicModelParams(k=k_list[0], iterations=args.sweeps, seed=args.seed)
     topics.sweep_kernel()  # build and load the kernel before timing
 
+    if args.per_k:
+        out |= per_k_split(corpus, k_list, params, args.repeats)
+        print(json.dumps(out))
+        return
+
     seconds, digest = [], None
     for _ in range(args.repeats):
         t0 = time.perf_counter()
         models = topics.sweep_k(corpus, k_list, params, threads=args.threads)
         seconds.append(time.perf_counter() - t0)
-        h = hashlib.sha256()
-        for m in models:
-            h.update(m.theta.tobytes())
-            h.update(m.phi.tobytes())
-        digest = h.hexdigest()
+        digest = models_digest(models)
     updates = corpus.total_tokens * sum(k_list) * args.sweeps
     out |= {
         "tokens": corpus.total_tokens,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as _dt
+import functools
 import hashlib
 import io
 import itertools
@@ -45,6 +46,21 @@ _SUMMARY_RANK_KEYS = ("bin_edges", "observed_props", "null_props", "ratio")
 
 def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
+
+
+@functools.cache
+def _numeric_stack() -> dict:
+    """The numpy and scipy versions and the SIMD extensions numpy found on
+    this CPU, which pick the code that computes the exports' floats. The
+    scipy version comes from its installed metadata, so scipy stays
+    unloaded."""
+    from importlib import metadata
+
+    return {
+        "numpy_version": np.__version__,
+        "scipy_version": metadata.version("scipy"),
+        "numpy_simd": list(np.show_config(mode="dicts")["SIMD Extensions"]["found"]),
+    }
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -284,6 +300,7 @@ def save_model(kdir: Path, model: TopicModel) -> None:
             "corpus_fingerprint": model.corpus_fingerprint,
             "model_sha256": digest.hexdigest(),
             "sweep_kernel_flags": " ".join(kernel_flags()),
+            **_numeric_stack(),
         },
     )
 
@@ -350,9 +367,20 @@ def write_series(kdir: Path, stem: str, series: dict, doc_ids: list[str], dates:
         )
 
 
+def _lineage(kdir: Path) -> dict:
+    """The sha256 of the corpus cache of ``kdir``'s output directory and
+    of ``kdir``'s model, as their sidecars record them; every step runs
+    after `load_cache` and `load_model` (or `save_model`) have checked
+    them against the files."""
+    corpus_meta = load_bundle_json(kdir.parent / "corpus.meta.json")
+    model_meta = load_bundle_json(kdir / "model.meta.json")
+    return {"corpus_sha256": corpus_meta.get("corpus_sha256"), "model_sha256": model_meta.get("model_sha256")}
+
+
 def write_null(kdir: Path, nulls: dict, config) -> None:
     """``null_<kind>.json`` (the aggregate test) and ``null_<kind>.csv`` (each
-    position's null) for each kind of ``nulls``."""
+    position's null) for each kind of ``nulls``, and ``null.meta.json``, the
+    lineage of the ensemble: the corpus and model it was computed from."""
     for kind, ens in nulls.items():
         lo, hi = ens.aggregate_quantiles()
         write_json(
@@ -371,16 +399,28 @@ def write_null(kdir: Path, nulls: dict, config) -> None:
         )
         rows = zip(itertools.count(1), map(_cell, ens.position_mean), map(_cell, ens.position_std))
         _write_csv(kdir / f"null_{kind.lower()}.csv", ["position", "null_mean_bits", "null_std_bits"], rows)
+    write_json(kdir / "null.meta.json", {"format_version": 1, **_lineage(kdir)})
 
 
 def load_null_means(kdir: Path, kind: str, positions: int, required: bool) -> np.ndarray | None:
     """The per-position null means of ``null_<kind>.csv``; None when the
-    file does not exist and is not ``required``."""
+    file does not exist and is not ``required``. The ensemble must come
+    from the corpus and model in use, as its sidecar ``null.meta.json``
+    records."""
     path = kdir / f"null_{kind.lower()}.csv"
     if not path.exists():
         if required:
             raise InputError(f"missing null ensemble: {path} (run `readpath null` first)")
         return None
+    meta_path = kdir / "null.meta.json"
+    if not meta_path.exists():
+        raise InputError(f"{path} has no sidecar {meta_path} naming its corpus and model (re-run `readpath null`)")
+    meta = _json_object(meta_path, read_text(meta_path), f"{path.name} sidecar")
+    if any(meta.get(key) != value for key, value in _lineage(kdir).items()):
+        raise InputError(
+            f"stale null ensemble {path}: {meta_path} records another corpus or model than the ones "
+            "in use (re-run `readpath null`)"
+        )
     rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))[1:]
     if len(rows) != positions:
         raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
@@ -510,8 +550,8 @@ def write_manifest(kdir: Path, k: int, export_matrix: bool) -> None:
 
 def write_run_meta(out: Path, telemetry: dict) -> None:
     """``run_meta.json`` in the output directory: ``telemetry`` with the time
-    of writing."""
-    write_json(out / "run_meta.json", {"created_utc": _utc_now(), **telemetry})
+    of writing and the numeric stack."""
+    write_json(out / "run_meta.json", {"created_utc": _utc_now(), **telemetry, **_numeric_stack()})
 
 
 def load_bundle_json(path: Path) -> dict:

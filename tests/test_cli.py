@@ -1,5 +1,7 @@
+import importlib.metadata
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -106,6 +108,17 @@ class TestRun:
         for path in (out / "run_meta.json", out / "k2" / "model.meta.json", out / "k3" / "model.meta.json"):
             assert json.loads(path.read_text())["sweep_kernel_flags"] == flags, path
 
+    def test_sidecars_record_the_numeric_stack(self, tmp_path):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
+        found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        out = tmp_path / "out"
+        for path in (out / "run_meta.json", out / "k2" / "model.meta.json", out / "k3" / "model.meta.json"):
+            meta = json.loads(path.read_text())
+            assert meta["numpy_version"] == np.__version__, path
+            assert meta["scipy_version"] == importlib.metadata.version("scipy"), path
+            assert meta["numpy_simd"] == list(found), path
+
     def test_override_flag_changes_k(self, tmp_path):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg), "--k", "3"]) == 0
@@ -173,9 +186,11 @@ class TestStagedPipeline:
         assert main(["run", *flags, "--out", str(tmp_path / "oneshot")]) == 0
         oneshot = tmp_path / "oneshot" / "k2"
         declared = json.loads((oneshot / "manifest.json").read_text())["files"]
-        # run alone writes the summary; the model sidecar carries a timestamp
+        # run alone writes the summary; the model sidecar carries a timestamp,
+        # and the manifest does not declare the null's lineage sidecar
         names = sorted(set(declared) - {"summary.json", "model.meta.json"})
-        assert sorted(p.name for p in (out2 / "k2").iterdir()) == sorted(names + ["model.meta.json"])
+        sidecars = ["model.meta.json", "null.meta.json"]
+        assert sorted(p.name for p in (out2 / "k2").iterdir()) == sorted(names + sidecars)
         for name in names:
             assert (out2 / "k2" / name).read_bytes() == (oneshot / name).read_bytes(), name
         assert json.loads((oneshot / "epochs_t2t.json").read_text())["series_input"] == epoch_input
@@ -352,6 +367,39 @@ class TestArtifactChecks:
         capsys.readouterr()
         assert main(["epochs", "--config", str(cfg)]) == 1
         assert "null_t2t.csv" in capsys.readouterr().err
+
+    def test_null_of_redated_corpus_exit_1_names_file(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        # every read date six years later, in the same order: the counts, and
+        # so the model, stay valid, but the null's feasible orders change
+        manifest = tmp_path / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(re.sub(r"(\d{4})(-\d\d-\d\d)", lambda m: f"{int(m[1]) + 6}{m[2]}", text),
+                            encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        flags = ["--config", str(cfg), "--epochs.input", "relative"]
+        assert main(["epochs", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "null_t2t.csv" in err and "null.meta.json" in err and "readpath null" in err
+        assert main(["null", "--config", str(cfg)]) == 0
+        assert main(["epochs", *flags]) == 0
+
+    @pytest.mark.parametrize("edit", ["sidecar_missing", "model_retrained"])
+    def test_null_without_its_lineage_exit_1_names_file(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        for cmd in ("ingest", "train", "null"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        if edit == "sidecar_missing":
+            (tmp_path / "out" / "k2" / "null.meta.json").unlink()
+        else:
+            assert main(["train", "--config", str(cfg), "--seed", "6"]) == 0
+        capsys.readouterr()
+        assert main(["epochs", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "null_t2t.csv" in err and "null.meta.json" in err and "readpath null" in err
 
     def test_model_for_another_corpus_exit_1(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)

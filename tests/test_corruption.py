@@ -45,6 +45,7 @@ READERS = {
     "run.cfg": ("ingest", "surprise", "epochs"),
     "texts/v003.txt": ("ingest",),
     "out/corpus.meta.json": STAGES,
+    "out/k2/null.meta.json": ("epochs",),
 }
 
 
