@@ -276,8 +276,8 @@ def _exact_within_year_values(thetas: np.ndarray, groups: list[list[int]], kind:
             acc[lo:] = np.cumsum(np.vstack([acc[lo:], block_vals]), axis=0)[-1]
         acc /= math.factorial(m)
         if kind == "T2T" and prev_group is not None:
-            q = thetas[g][None, :, :]
-            pairs = _kl_rows(q, q / thetas[prev_group][:, None, :])
+            firsts = thetas[g][None, :, :]
+            pairs = _kl_rows(firsts, firsts / thetas[prev_group][:, None, :])
             acc[0] = float(np.mean(pairs.ravel()))
         parts.append(acc)
         prefix += thetas[g].sum(axis=0)

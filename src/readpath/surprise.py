@@ -10,10 +10,10 @@ Series conventions: for D ordered documents, surprise is defined at
 positions 1..D-1 (the first document has no predecessor), stored in a
 length D-1 array where ``values[j]`` belongs to position j+1.
 
-Every surprise value of the program goes through one row kernel,
+Every T2T, T2P and T2N value of the program goes through one row kernel,
 `_kl_rows`, which turns the ratios q / p into KL rows in place. One order
 evaluator, `_OrderValues`, gives both kinds (`KINDS`) of any order of the
-rows of theta from it: the reading order here, and the null and Monte
+rows of theta through it: the reading order here, and the null and Monte
 Carlo publication orders in `nullmodel`. The scalar `kl_divergence` is the
 kernel's test reference.
 """

@@ -34,13 +34,11 @@ def pairwise_values(thetas):
 
 
 def window_mean_values(thetas):
-    """T2P oracle: KL from each row to the mean of every row before it."""
-    d = thetas.shape[0]
+    """T2P oracle: KL from each row to the mean of every row before it,
+    a difference of prefix sums over the count."""
     cs = np.vstack([np.zeros(thetas.shape[1]), np.cumsum(thetas, axis=0)])
-    i = np.arange(1, d)
-    lo = np.zeros(d - 1, dtype=np.int64)
-    span = (i - lo).astype(np.float64)
-    return kl_rows(thetas[1:], (cs[i] - cs[lo]) / span[:, None])
+    counts = np.arange(1.0, thetas.shape[0])
+    return kl_rows(thetas[1:], (cs[1:-1] - cs[0]) / counts[:, None])
 
 
 SERIES_VALUES = {"T2T": pairwise_values, "T2P": window_mean_values}
