@@ -13,8 +13,9 @@ length D-1 array where ``values[j]`` belongs to position j+1.
 Every T2T, T2P and T2N value of the program goes through one row kernel,
 `_kl_rows`, which turns the ratios q / p into KL rows in place. One order
 evaluator, `_OrderValues`, gives both kinds (`KINDS`) of any order of the
-rows of theta through it: the reading order here, and the null and Monte
-Carlo publication orders in `nullmodel`. The scalar `kl_divergence` is the
+rows of theta through it, one method per kind: the reading order here,
+one kind per series, and the null and Monte Carlo publication orders in
+`nullmodel`, both kinds per order. The scalar `kl_divergence` is the
 kernel's test reference.
 """
 
@@ -106,8 +107,9 @@ def _kl_rows(q: np.ndarray, ratios: np.ndarray, out: np.ndarray | None = None) -
 class _OrderValues:
     """Both surprise kinds of any order of the D rows of ``thetas``, into
     buffers allocated once: O(D * k) time per order and no allocation.
-    T2T compares each row with the one before it; T2P compares it with the
-    mean of the rows before it, their running sum divided by their count."""
+    One method per kind: `t2t` compares each row with the one before it;
+    `t2p` compares it with the mean of the rows before it, their running
+    sum divided by their count."""
 
     def __init__(self, thetas: np.ndarray):
         d, k = thetas.shape
@@ -121,20 +123,29 @@ class _OrderValues:
     def __call__(self, order: np.ndarray, out) -> None:
         """Write the T2T and T2P values of ``order`` (D indices, each in
         range) into ``out[0]`` and ``out[1]``, two rows of D - 1."""
-        q, work = self.q, self.work
-        np.take(self.thetas, order, axis=0, out=q, mode="clip")
-        np.divide(q[1:], q[:-1], out=work)
-        _kl_rows(q[1:], work, out[0])
+        np.take(self.thetas, order, axis=0, out=self.q, mode="clip")
+        self.t2t(self.q, out[0])
+        self.t2p(self.q, out[1])
+
+    def t2t(self, q: np.ndarray, out: np.ndarray) -> None:
+        """The T2T values of the D rows of ``q``, in their order, into ``out``."""
+        np.divide(q[1:], q[:-1], out=self.work)
+        _kl_rows(q[1:], self.work, out)
+
+    def t2p(self, q: np.ndarray, out: np.ndarray) -> None:
+        """The T2P values of the D rows of ``q``, in their order, into ``out``."""
+        work = self.work
         np.cumsum(q[:-1], axis=0, out=work)
         np.divide(work, self.counts, out=work)  # the past means
         np.divide(q[1:], work, out=work)
-        _kl_rows(q[1:], work, out[1])
+        _kl_rows(q[1:], work, out)
 
 
-def _reading_values(thetas: np.ndarray) -> np.ndarray:
-    """The (T2T, T2P) rows of the order the rows of ``thetas`` are in."""
-    out = np.empty((len(KINDS), thetas.shape[0] - 1))
-    _OrderValues(thetas)(np.arange(thetas.shape[0]), out)
+def _reading_values(thetas: np.ndarray, kind: str) -> np.ndarray:
+    """The ``kind`` values ("T2T" or "T2P") of the order the rows of
+    ``thetas`` are in."""
+    out = np.empty(thetas.shape[0] - 1)
+    getattr(_OrderValues(thetas), kind.lower())(thetas, out)
     return out
 
 
@@ -148,14 +159,14 @@ def _check_sequence(thetas) -> np.ndarray:
 def t2t_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Local surprise: KL from each document to the one read just before."""
     thetas = _check_sequence(thetas)
-    return SurpriseSeries(kind="T2T", values=_reading_values(thetas)[0], ordering=ordering)
+    return SurpriseSeries(kind="T2T", values=_reading_values(thetas, "T2T"), ordering=ordering)
 
 
 def t2p_series(thetas, ordering: str = READING_ORDER) -> SurpriseSeries:
     """Global surprise: KL from each document to the unweighted mean of
     every document read before it."""
     thetas = _check_sequence(thetas)
-    return SurpriseSeries(kind="T2P", values=_reading_values(thetas)[1], ordering=ordering)
+    return SurpriseSeries(kind="T2P", values=_reading_values(thetas, "T2P"), ordering=ordering)
 
 
 def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> SurpriseSeries:
@@ -171,7 +182,7 @@ def t2n_series(thetas, n_window: int, ordering: str = READING_ORDER) -> Surprise
     # arithmetic there so the equalities hold exactly, not just to
     # rounding error.
     if n_window == 1 or n_window >= d - 1:
-        values = _reading_values(thetas)[0 if n_window == 1 else 1]
+        values = _reading_values(thetas, "T2T" if n_window == 1 else "T2P")
     else:
         cs = np.vstack([np.zeros(thetas.shape[1]), np.cumsum(thetas, axis=0)])
         i = np.arange(1, d)

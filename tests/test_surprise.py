@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readpath import surprise
 from readpath.surprise import (
+    KINDS,
+    _OrderValues,
     epoch_mean_relative,
     kl_divergence,
     t2n_series,
@@ -114,6 +117,24 @@ class TestSeries:
         for _ in range(25):
             t = random_simplex(rng, int(rng.integers(2, 20)), 4)
             assert t2p_series(t).values[0] == pytest.approx(t2t_series(t).values[0], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_series_evaluates_its_own_kind_once(self, rng, monkeypatch, kind):
+        t = random_simplex(rng, 9, 4)
+        out = np.empty((len(KINDS), 8))
+        _OrderValues(t)(np.arange(9), out)
+        calls = []
+        kl_rows = surprise._kl_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kl_rows(*args, **kwargs)
+
+        monkeypatch.setattr(surprise, "_kl_rows", counted)
+        series = {"T2T": t2t_series, "T2P": t2p_series}[kind](t)
+        # one kernel pass, with the bits of the evaluator's row of that kind
+        assert calls == [(8, 4)]
+        assert series.values.tobytes() == out[KINDS.index(kind)].tobytes()
 
     def test_series_metadata(self):
         t = np.array([[0.8, 0.2], [0.2, 0.8]])
