@@ -7,9 +7,10 @@ than the exact-enumeration threshold, so the publication order takes its
 Monte Carlo branch. Then times ``null_permutations`` (the M orders),
 ``build_null`` and ``publication_order_series`` (both surprise kinds per
 call, as ``run`` makes them) and prints one JSON line: the best seconds of
-each step over the repeats, the peak RSS, and a SHA-256 over every output
+each step over the repeats, the peak RSS, a SHA-256 over every output
 array, so two source trees can be compared for speed and for identical
-results.
+results, and the numpy and scipy versions and numpy's SIMD extensions,
+which pick the code that computes those arrays.
 
 Usage:
     PYTHONPATH=src python scripts/bench_null.py --docs 2000 --k 80 --samples 1000
@@ -28,6 +29,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from readpath.corpus import VolumeRecord
+from readpath.exports import _numeric_stack
 from readpath.nullmodel import NullConfig, build_null, null_permutations, publication_order_series
 
 
@@ -97,6 +99,7 @@ def main() -> None:
         "seconds": {name: [round(x, 4) for x in v] for name, v in seconds.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "outputs_sha256": h.hexdigest(),
+        **_numeric_stack(),
     }))
 
 

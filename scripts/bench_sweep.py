@@ -8,7 +8,8 @@ seconds over tokens x sum(k) x sweeps), the share of tokens whose
 (document, word) pair equals the previous token's, the peak RSS, and a
 SHA-256 over every model's theta and phi bytes, so two source trees can be
 compared for speed and for identical results. It also prints the kernel's
-build flags (``-mavx2`` when the CPU has AVX2).
+build flags (``-mavx2`` when the CPU has AVX2) and the numpy and scipy
+versions and numpy's SIMD extensions.
 
 Usage:
     PYTHONPATH=src python scripts/bench_sweep.py --corpus out --k-list 80 --sweeps 40
@@ -48,7 +49,7 @@ import numpy as np
 
 from readpath import topics
 from readpath.corpus import CorpusMatrix
-from readpath.exports import load_cache
+from readpath.exports import _numeric_stack, load_cache
 
 
 def zipf_corpus(n_docs: int, doc_tokens: int, n_vocab: int, seed: int) -> CorpusMatrix:
@@ -143,7 +144,7 @@ def main() -> None:
     if not (args.corpus or args.zipf or args.builds > 0):
         ap.error("give --corpus, --zipf or --builds N")
 
-    out = {"kernel_flags": " ".join(topics.kernel_flags())}
+    out = {"kernel_flags": " ".join(topics.kernel_flags()), **_numeric_stack()}
     if args.builds > 0:
         out["kernel_builds"] = args.builds
         out["kernel_build_s_median"] = round(median_build_s(args.builds), 4)

@@ -168,7 +168,7 @@ def _step_surprise(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, 
     records = shared.records
     doc_ids = [r.id for r in records[1:]]
     dates = [r.read_date.isoformat() for r in records[1:]]
-    exports_mod.write_series(kdir, "series", out, doc_ids, dates, model.corpus_fingerprint)
+    exports_mod.write_series(kdir, "series", out, doc_ids, dates)
     return out
 
 
@@ -184,7 +184,7 @@ def _step_puborder(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, 
     doc_ids = [records[i].id for i in rep_order[1:]]
     pub_years = [str(records[i].pub_year) for i in rep_order[1:]]
     out = null_mod.publication_order_series(model.theta, records, shared.cfg.null)
-    exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years, model.corpus_fingerprint)
+    exports_mod.write_series(kdir, "puborder", out, doc_ids, pub_years)
     return out
 
 
@@ -370,23 +370,11 @@ def _report_lines(summary: dict) -> list[str]:
 
 
 def cmd_report(bundle: Path) -> None:
-    bundle = Path(bundle)
-    manifest_path = bundle / "manifest.json"
-    if not manifest_path.exists():
-        raise InputError(f"not a result bundle (no manifest.json): {bundle}")
-    files = exports_mod.load_bundle_json(manifest_path).get("files")
-    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
-        raise InputError(f"malformed bundle file {manifest_path}: no list of file names")
-    for name in files:
-        if not (bundle / name).exists():
-            raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
-    exports_mod.check_bundle_fingerprints(bundle, files)
-    summary_path = bundle / "summary.json"
-    summary = exports_mod.load_bundle_json(summary_path)
+    summary = exports_mod.load_summary(bundle)
     try:
         lines = _report_lines(summary)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed bundle file {summary_path}: bad or missing entry {exc}") from exc
+        raise InputError(f"malformed bundle file {bundle / 'summary.json'}: bad or missing entry {exc}") from exc
     print("\n".join(lines))
 
 

@@ -2,7 +2,9 @@
 modules write no file and read no artifact. The two artifacts that every
 stage reloads, ``corpus.json`` and ``model.bin``, each get a sidecar
 (``corpus.meta.json``, ``model.meta.json``) recording the sha256 of their
-bytes, which the reader checks before it parses.
+bytes, which the reader checks before it parses. The series,
+publication-order, null and summary exports each get a sidecar with their
+lineage, those two sha256 (`_lineage`), which `check_lineage` compares.
 
 JSON exports (`write_json`): sorted keys, indent 2, a trailing newline,
 ``null`` for a non-finite entry of a float array. CSV (`_write_csv`): a
@@ -346,10 +348,9 @@ def load_model(kdir: Path, n_docs: int, corpus_fingerprint: str) -> TopicModel:
         raise InputError(f"corrupted model artifact {path}: {exc}") from exc
 
 
-def write_series(kdir: Path, stem: str, series: dict, doc_ids: list[str], dates: list[str],
-                 model_fingerprint: str) -> None:
+def write_series(kdir: Path, stem: str, series: dict, doc_ids: list[str], dates: list[str]) -> None:
     """``<stem>_<kind>.csv`` (each position's document, date and bits) and
-    its ``.meta.json`` sidecar, for each kind of ``series``."""
+    its ``.meta.json`` sidecar with its lineage, for each kind of ``series``."""
     for kind, s in series.items():
         path = kdir / f"{stem}_{kind.lower()}.csv"
         _write_csv(
@@ -366,19 +367,32 @@ def write_series(kdir: Path, stem: str, series: dict, doc_ids: list[str], dates:
                 "ordering": s.ordering,
                 "positions": len(s),
                 "mean_bits": s.mean_bits,
-                "model_fingerprint": model_fingerprint,
+                **_lineage(kdir),
             },
         )
 
 
 def _lineage(kdir: Path) -> dict:
-    """The sha256 of the corpus cache of ``kdir``'s output directory and
-    of ``kdir``'s model, as their sidecars record them; every step runs
-    after `load_cache` and `load_model` (or `save_model`) have checked
-    them against the files."""
+    """The sha256 of the corpus cache and the model of bundle ``kdir``, as
+    their sidecars record them (each step has checked both files first)."""
     corpus_meta = load_bundle_json(kdir.parent / "corpus.meta.json")
     model_meta = load_bundle_json(kdir / "model.meta.json")
     return {"corpus_sha256": corpus_meta.get("corpus_sha256"), "model_sha256": model_meta.get("model_sha256")}
+
+
+def check_lineage(path: Path, command: str) -> None:
+    """The sidecar of bundle file ``path`` (``null.meta.json`` for the null's)
+    must hold its `_lineage`; else an InputError naming the files that differ."""
+    meta_path = path.with_name("null.meta.json" if path.name.startswith("null_") else f"{path.stem}.meta.json")
+    if not meta_path.exists():
+        raise InputError(f"{path} has no sidecar {meta_path} naming its corpus and model (re-run `readpath {command}`)")
+    meta = _json_object(meta_path, read_text(meta_path), f"{path.name} sidecar")
+    for key, value in _lineage(path.parent).items():
+        if not isinstance(value, str) or meta.get(key) != value:
+            raise InputError(
+                f"stale {path}: its sidecar {meta_path} records another {key} than "
+                f"{key.removesuffix('_sha256')}.meta.json (re-run `readpath {command}`)"
+            )
 
 
 def write_null(kdir: Path, nulls: dict, config) -> None:
@@ -416,15 +430,7 @@ def load_null_means(kdir: Path, kind: str, positions: int, required: bool) -> np
         if required:
             raise InputError(f"missing null ensemble: {path} (run `readpath null` first)")
         return None
-    meta_path = kdir / "null.meta.json"
-    if not meta_path.exists():
-        raise InputError(f"{path} has no sidecar {meta_path} naming its corpus and model (re-run `readpath null`)")
-    meta = _json_object(meta_path, read_text(meta_path), f"{path.name} sidecar")
-    if any(meta.get(key) != value for key, value in _lineage(kdir).items()):
-        raise InputError(
-            f"stale null ensemble {path}: {meta_path} records another corpus or model than the ones "
-            "in use (re-run `readpath null`)"
-        )
+    check_lineage(path, "null")
     rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))[1:]
     if len(rows) != positions:
         raise InputError(f"stale null ensemble {path}: {len(rows)} positions, expected {positions}")
@@ -516,7 +522,7 @@ def write_summary(
 ) -> None:
     """``summary.json``: the headline numbers of each kind, the blocks of the
     ``epochs`` payloads (by kind) and of the ``ranks`` payload that
-    `report` reads."""
+    `report` reads; and ``summary.meta.json``, its lineage."""
     surprise = {}
     for kind, ens in nulls.items():
         lo, hi = ens.aggregate_quantiles()
@@ -546,6 +552,7 @@ def write_summary(
             "ranks": {key: ranks[key] for key in _SUMMARY_RANK_KEYS},
         },
     )
+    write_json(kdir / "summary.meta.json", {"format_version": 1, **_lineage(kdir)})
 
 
 def write_manifest(kdir: Path, k: int, export_matrix: bool) -> None:
@@ -563,17 +570,21 @@ def load_bundle_json(path: Path) -> dict:
     return _json_object(path, read_text(path), "bundle file")
 
 
-def check_bundle_fingerprints(bundle: Path, files: list[str]) -> None:
-    """Every series and publication-order sidecar of a bundle must name the
-    corpus fingerprint its model was trained on."""
-    model_meta = bundle / "model.meta.json"
-    expected = load_bundle_json(model_meta).get("corpus_fingerprint")
+def load_summary(kdir: Path) -> dict:
+    """Bundle ``kdir``'s ``summary.json``, once its manifest's files exist,
+    ``model.bin`` has its recorded sha256 and `check_lineage` passes."""
+    manifest_path = kdir / "manifest.json"
+    if not manifest_path.exists():
+        raise InputError(f"not a result bundle (no manifest.json): {kdir}")
+    files = load_bundle_json(manifest_path).get("files")
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise InputError(f"malformed bundle file {manifest_path}: no list of file names")
     for name in files:
-        if name.startswith(("series_", "puborder_")) and name.endswith(".meta.json"):
-            found = load_bundle_json(bundle / name).get("model_fingerprint")
-            if found != expected:
-                raise InputError(
-                    f"bundle file {bundle / name}: model_fingerprint {found!r} differs from "
-                    f"corpus_fingerprint {expected!r} in {model_meta.name}; it was computed "
-                    "from another model (re-run `readpath run`)"
-                )
+        if not (kdir / name).exists():
+            raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
+    model_path = kdir / "model.bin"
+    _check_digest(model_path, kdir / "model.meta.json", "train", [model_path.read_bytes()], "model_sha256")
+    names = [f"{stem}_{kind.lower()}.csv" for stem in ("series", "puborder", "null") for kind in KINDS]
+    for name in names + ["summary.json"]:
+        check_lineage(kdir / name, "run")
+    return load_bundle_json(kdir / "summary.json")

@@ -20,6 +20,16 @@ DEMO_SAMPLES = 50  # [null] samples in the build_demo config
 STAGE_COMMANDS = ("ingest", "train", "surprise", "null", "puborder", "greedy", "ranks", "epochs")
 
 
+def redate_manifest(root: Path, years: int) -> None:
+    """Move every read date of ``root``'s demo manifest ``years`` later, in
+    the same order: the counts, and so the model, stay valid, but the
+    null's feasible orders and the corpus cache's bytes change."""
+    manifest = root / "manifest.csv"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(re.sub(r"(\d{4})(-\d\d-\d\d)", lambda m: f"{int(m[1]) + years}{m[2]}", text),
+                        encoding="utf-8")
+
+
 class TestIngest:
     def test_ingest_writes_cache_and_stats(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)
@@ -372,12 +382,7 @@ class TestArtifactChecks:
         cfg = build_demo(tmp_path)
         for cmd in ("ingest", "train", "null"):
             assert main([cmd, "--config", str(cfg)]) == 0
-        # every read date six years later, in the same order: the counts, and
-        # so the model, stay valid, but the null's feasible orders change
-        manifest = tmp_path / "manifest.csv"
-        text = manifest.read_text(encoding="utf-8")
-        manifest.write_text(re.sub(r"(\d{4})(-\d\d-\d\d)", lambda m: f"{int(m[1]) + 6}{m[2]}", text),
-                            encoding="utf-8")
+        redate_manifest(tmp_path, 6)
         assert main(["ingest", "--config", str(cfg)]) == 0
         capsys.readouterr()
         flags = ["--config", str(cfg), "--epochs.input", "relative"]
@@ -804,18 +809,45 @@ class TestReport:
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("name", ["series_t2t.meta.json", "puborder_t2p.meta.json"])
+    @pytest.mark.parametrize("name", ["series_t2t.meta.json", "puborder_t2p.meta.json", "null.meta.json"])
     def test_report_rejects_sidecar_of_another_model(self, tmp_path, capsys, name):
         cfg = build_demo(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
         kdir = tmp_path / "out" / "k2"
         meta = json.loads((kdir / name).read_text(encoding="utf-8"))
-        meta["model_fingerprint"] = "0" * 64
+        meta["model_sha256"] = "0" * 64
         (kdir / name).write_text(json.dumps(meta), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", str(kdir)]) == 1
         captured = capsys.readouterr()
         assert name in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("edit", ["retrained", "redated", "restaged", "model_byte"])
+    def test_report_rejects_stale_or_damaged_bundle(self, tmp_path, capsys, edit):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        kdir = tmp_path / "out" / "k2"
+        if edit == "model_byte":
+            data = bytearray((kdir / "model.bin").read_bytes())
+            data[len(data) // 2] ^= 1
+            (kdir / "model.bin").write_bytes(bytes(data))
+            names = ["model.bin", "model.meta.json", "readpath train"]
+        elif edit == "redated":  # the model stays valid, the corpus cache changes
+            redate_manifest(tmp_path, 6)
+            assert main(["ingest", "--config", str(cfg)]) == 0
+            names = ["series_t2t.csv", "series_t2t.meta.json", "corpus.meta.json"]
+        else:
+            assert main(["train", "--config", str(cfg), "--seed", "9"]) == 0
+            names = ["series_t2t.csv", "series_t2t.meta.json", "model.meta.json"]
+            if edit == "restaged":  # the staged steps refresh every sidecar but the summary's
+                for command in STAGE_COMMANDS[2:]:
+                    assert main([command, "--config", str(cfg)]) == 0
+                names = ["summary.json", "summary.meta.json", "model.meta.json"]
+        capsys.readouterr()
+        assert main(["report", str(kdir)]) == 1
+        captured = capsys.readouterr()
+        assert all(name in captured.err for name in names), captured.err
+        assert captured.out == ""
 
     def test_report_names_missing_artifact(self, tmp_path, capsys):
         cfg = build_demo(tmp_path)

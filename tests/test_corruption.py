@@ -37,15 +37,16 @@ READERS = {
     "manifest.csv": ("ingest",),
     "out/corpus.json": STAGES,
     "out/k2/manifest.json": ("report",),
-    "out/k2/model.bin": STAGES[1:],
+    "out/k2/model.bin": ("report", *STAGES[1:]),
     "out/k2/model.meta.json": ("report", *STAGES[1:]),
     "out/k2/null_t2t.csv": ("epochs",),
     "out/k2/series_t2t.meta.json": ("report",),
     "out/k2/summary.json": ("report",),
     "run.cfg": ("ingest", "surprise", "epochs"),
     "texts/v003.txt": ("ingest",),
-    "out/corpus.meta.json": STAGES,
-    "out/k2/null.meta.json": ("epochs",),
+    "out/corpus.meta.json": ("report", *STAGES),
+    "out/k2/null.meta.json": ("report", "epochs"),
+    "out/k2/summary.meta.json": ("report",),
 }
 
 
