@@ -150,8 +150,21 @@ class _Shared:
     @functools.cached_property
     def placements(self) -> np.ndarray:
         """Log placement counts of the epoch search: they depend only on
-        the series dates, so both kinds and every k share one count."""
-        return epochs_mod.placement_log_counts(len(self.records) - 1, self.cfg.epochs, _series_dates(self.records))
+        the series dates, so both kinds and every k share one count. An
+        ``epochs.n_max`` that the series cannot hold is an input error."""
+        search = self.cfg.epochs
+        length = len(self.records) - 1
+        counts = epochs_mod.placement_log_counts(length, search, _series_dates(self.records))
+        if counts[-1] == -np.inf:
+            minimum = (
+                f"epochs.min_length = {search.min_length}" if search.min_length is not None
+                else f"epochs.min_years = {search.min_years:g}"
+            )
+            raise InputError(
+                f"epochs.n_max = {search.n_max} does not fit the series of {length} positions under "
+                f"{minimum}: the largest number of epochs that fits is {np.isfinite(counts).sum()}"
+            )
+        return counts
 
 
 def _series_dates(records) -> list:
@@ -228,7 +241,6 @@ def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, di
     step's in ``done``, else the bundle's null exports). Returns the
     epochs export's payload of each kind."""
     cfg, records = shared.cfg, shared.records
-    placements = shared.placements  # in `run`, first drawn after the matrix is freed
     series = done["surprise"] if "surprise" in done else _reading_series(model)
     nulls = done.get("null")
     dates = _series_dates(records)
@@ -241,15 +253,15 @@ def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, di
         else:
             null_means = exports_mod.load_null_means(kdir, kind, len(values), required=relative)
         fit_values = values - null_means if relative else values
-        best, table, landscape = epochs_mod.select_n_with_landscape(
-            fit_values, cfg.epochs, dates=dates, log_placements=placements
+        best, table, landscape, prior = epochs_mod.select_n(
+            fit_values, cfg.epochs, dates=dates, log_placements=shared.placements
         )
         rel_means = None
         if null_means is not None:
             rel_means = [float(x) for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)]
         out[kind] = exports_mod.write_epochs(
             kdir, kind, cfg.epoch_input, best, table, epochs_mod.break_to_date(best, records),
-            rel_means, epochs_mod.evidence_prior(fit_values, cfg.epochs), landscape,
+            rel_means, prior, landscape,
         )
     return out
 
@@ -292,10 +304,12 @@ def cmd_run(cfg: RunConfig) -> None:
         # The models train on the reloaded cache, the counts that ingest
         # fingerprinted; keeping the ingested objects instead raises peak RSS.
         records, vocab, matrix, fingerprint = exports_mod.load_cache(cfg.out)
+    shared = _Shared(cfg, records)
+    with _timed(stage_s, stage_rss, "epochs"):
+        shared.placements  # an epochs.n_max that cannot fit fails here, before any chain trains
     with _timed(stage_s, stage_rss, "train"):
         models = _train_models(cfg, matrix, fingerprint)
     del vocab, matrix  # no step reads them; held, they stay resident under the peak
-    shared = _Shared(cfg, records)
     with _timed(stage_s, stage_rss, "null"):
         shared.perms  # drawn once, for every k
 

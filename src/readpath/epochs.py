@@ -37,10 +37,11 @@ pass for a series of L positions. A block scores only the segment ends
 its starts can reach, and each level sums or maximizes only over the ends
 that the level below can still complete, so a minimum of mu positions
 leaves about (L - mu)^2 / 2 scores per pass and ever fewer terms per
-level: O(L^2) time at most. A series costs a max, an evidence and a
-placement-count pass; its single-break landscape is row 0 plus column L
-of the scores, O(L). The count pass depends only on the minimum lengths,
-so `placement_log_counts` lets series that share their dates share it.
+level: O(L^2) time at most. `select_n` costs a series a max, an evidence
+and a placement-count pass, and reads its single-break landscape from row
+0 and column L of the scores, O(L). The count pass depends only on the
+minimum lengths, so `placement_log_counts` lets series that share their
+dates share it.
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -69,7 +70,7 @@ PRIOR_A0 = 1.0
 # Start rows scored at once by `_suffix_dp`. A block's score temporaries,
 # about ten arrays of _BLOCK x L floats, set the peak RSS of a run's epoch
 # stage; 32 rows keep them within the cache, and the pass is faster than
-# with 128 (at L = 1,599, 39 against 53-63 ms per select_n_with_landscape).
+# with 128 (at L = 1,599, 39 against 53-63 ms per select_n).
 _BLOCK = 32
 
 # Lower bound on every segment variance, so a constant segment has a
@@ -357,11 +358,11 @@ def placement_log_counts(
     return _placement_log_counts(_min_length_by_start(length, config, dates), config.n_max)
 
 
-def _log_evidence(
-    x: np.ndarray, config: EpochSearchConfig, min_len: np.ndarray, log_count: np.ndarray
-) -> np.ndarray:
-    evidence = _evidence_scorer(x, min_len, evidence_prior(x, config))
-    log_total = _suffix_dp(evidence, min_len, config.n_max, _row_logsumexp)[1:, 0]
+def _log_evidence(x: np.ndarray, min_len: np.ndarray, prior: dict, log_count: np.ndarray) -> np.ndarray:
+    """Log evidence for n = 1..len(log_count) epochs under ``prior``, from
+    one `_suffix_dp` logsumexp pass and the placement counts."""
+    evidence = _evidence_scorer(x, min_len, prior)
+    log_total = _suffix_dp(evidence, min_len, len(log_count), _row_logsumexp)[1:, 0]
     with np.errstate(invalid="ignore"):
         return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
 
@@ -377,28 +378,43 @@ def log_evidence(
     if len(x) == 0:
         raise ValueError("empty series")
     min_len = _min_length_by_start(len(x), config, dates)
-    return _log_evidence(x, config, min_len, _placement_log_counts(min_len, config.n_max))
+    return _log_evidence(x, min_len, evidence_prior(x, config), _placement_log_counts(min_len, config.n_max))
 
 
-def select_n_with_landscape(
+def select_n(
     series,
     config: EpochSearchConfig,
     dates: list[date] | None = None,
     log_placements: np.ndarray | None = None,
-) -> tuple[EpochModel, list[dict], np.ndarray]:
-    """`select_n` and `single_break_landscape` of one series, from one
-    bound loglik scorer: an evidence pass and one max pass for every n's
-    breaks. ``log_placements`` is `placement_log_counts` of the series'
-    length and dates, computed here when not given."""
+) -> tuple[EpochModel, list[dict], np.ndarray, dict]:
+    """Fit n = 1..n_max and pick the n with the largest log evidence
+    (ties favor fewer epochs); the chosen model carries the
+    maximum-likelihood breaks for that n. One evidence pass and one max
+    pass for every n's breaks. ``log_placements`` is `placement_log_counts`
+    of the series' length and dates, computed here when not given.
+
+    Returns ``(best, table, landscape, prior)``:
+    - the chosen model;
+    - a table row per n with the parameter count, log-likelihood, AIC,
+      log evidence, evidence relative to the selected n (so the selected
+      row is exactly 1.0), the log-likelihood gain over n - 1 and the
+      breaks;
+    - the single-break landscape: entry b is the two-epoch log-likelihood
+      of segments [0, b) and [b, L), NaN where b violates the minimum
+      length;
+    - the `evidence_prior` the evidence was computed under.
+    """
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    min_len = _min_length_by_start(len(x), config, dates)
+    length = len(x)
+    min_len = _min_length_by_start(length, config, dates)
     if log_placements is None:
         log_placements = _placement_log_counts(min_len, config.n_max)
     elif np.shape(log_placements) != (config.n_max,):
         raise ValueError(f"need one placement count per n = 1..{config.n_max}")
-    evidence = _log_evidence(x, config, min_len, log_placements)
+    prior = evidence_prior(x, config)
+    evidence = _log_evidence(x, min_len, prior, log_placements)
     score = _loglik_scorer(x, min_len)
     best = _suffix_dp(score, min_len, config.n_max, _row_max)
     models = [_model(x, _ml_breaks(score, best, n)) for n in range(1, config.n_max + 1)]
@@ -416,23 +432,11 @@ def select_n_with_landscape(
         }
         for i, m in enumerate(models)
     ]
-    return models[chosen], rows, _landscape(score, len(x))
-
-
-def select_n(
-    series, config: EpochSearchConfig, dates: list[date] | None = None
-) -> tuple[EpochModel, list[dict]]:
-    """Fit n = 1..n_max and pick the n with the largest log evidence
-    (ties favor fewer epochs); the chosen model carries the
-    maximum-likelihood breaks for that n.
-
-    Returns the chosen model and a table row per n with the parameter
-    count, log-likelihood, AIC, log evidence, evidence relative to the
-    selected n (so the selected row is exactly 1.0), and the
-    log-likelihood gain over n - 1.
-    """
-    best, rows, _ = select_n_with_landscape(series, config, dates)
-    return best, rows
+    inner = np.arange(1, length)
+    landscape = np.full(length + 1, np.nan)
+    two = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)
+    landscape[1:length] = np.where(np.isfinite(two), two, np.nan)
+    return models[chosen], rows, landscape, prior
 
 
 def break_to_date(model: EpochModel, records) -> list[tuple[int, date]]:
@@ -444,23 +448,3 @@ def break_to_date(model: EpochModel, records) -> list[tuple[int, date]]:
         out.append((b, records[b].read_date))
     return out
 
-
-def single_break_landscape(
-    series, config: EpochSearchConfig, dates: list[date] | None = None
-) -> np.ndarray:
-    """Two-epoch log-likelihood as a function of the single break
-    position; NaN where a position violates the minimum length. Index b
-    holds the loglik of segments [0, b) and [b, L)."""
-    x = _series_values(series)
-    if len(x) == 0:
-        raise ValueError("empty series")
-    return _landscape(_loglik_scorer(x, _min_length_by_start(len(x), config, dates)), len(x))
-
-
-def _landscape(score, length: int) -> np.ndarray:
-    """`single_break_landscape` from the series' bound `_loglik_scorer`."""
-    inner = np.arange(1, length)
-    out = np.full(length + 1, np.nan)
-    v = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)
-    out[1:length] = np.where(np.isfinite(v), v, np.nan)
-    return out

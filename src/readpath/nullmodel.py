@@ -97,12 +97,10 @@ class ConstrainedPermutationSampler:
                 f"{self.available_by_slot[t]} feasible titles for {t + 1} slots"
             )
 
-    def sample_batch(
-        self, rng: np.random.Generator | Sequence[np.random.Generator], count: int
-    ) -> np.ndarray:
-        """Draw ``count`` independent permutations. ``rng`` is one Generator,
-        whose uniforms fill the rows in turn, or a sequence of ``count``
-        Generators, one per row.
+    def sample_batch(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+        """Draw ``count`` independent permutations, row i from the uniforms
+        of ``rngs[i]``. One Generator repeated, ``[rng] * count``, fills the
+        rows from its uniforms in turn.
 
         Every row is filled slot by slot in lockstep: at slot t each row's
         pool of feasible titles not yet placed has the same size,
@@ -110,17 +108,14 @@ class ConstrainedPermutationSampler:
         arrivals to every pool, picks ``pool[int(u * size)]`` in each row
         and swap-removes the pick.
         """
+        if len(rngs) != count:
+            raise ValueError(f"need one generator per sample: {len(rngs)} for {count}")
         # The result is allocated first, below the temporaries in the heap,
         # so that they can be given back to the system when freed.
         out = np.empty((count, self.n), dtype=np.int64)
         u = np.empty((count, self.n))
-        if isinstance(rng, np.random.Generator):
-            rng.random(out=u)
-        else:
-            if len(rng) != count:
-                raise ValueError(f"need one generator per sample: {len(rng)} for {count}")
-            for row, g in zip(u, rng):
-                g.random(out=row)
+        for row, g in zip(u, rngs):
+            g.random(out=row)
         sizes = self.available_by_slot - np.arange(self.n)
         # min() keeps u = 1.0 in the pool; a Generator's doubles stay below 1.
         picks = np.minimum((u * sizes).astype(np.int64), sizes - 1)
@@ -137,7 +132,7 @@ class ConstrainedPermutationSampler:
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(rng, 1)[0]
+        return self.sample_batch([rng], 1)[0]
 
     def check(self, perm: np.ndarray) -> None:
         if np.any(self.pub_years[perm] > self.slot_years):

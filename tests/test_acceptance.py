@@ -118,7 +118,7 @@ def test_c04_null_uniformity():
         records = _random_feasible_instance(rng)
         sampler = ConstrainedPermutationSampler(records)
         oracle = _valid_permutations(records)
-        draws = sampler.sample_batch(rng, draws_per_instance)
+        draws = sampler.sample_batch([rng] * draws_per_instance, draws_per_instance)
         slot_years = sampler.slot_years
         pubs = sampler.pub_years
         if np.any(pubs[draws] > slot_years[None, :]):
@@ -215,7 +215,7 @@ def test_c08_planted_break_recovery():
     trials = 100
     for _ in range(trials):
         x = np.concatenate([rng.normal(0, 1, 300), rng.normal(2, 1, 300)])
-        best, _ = select_n(x, cfg)
+        best = select_n(x, cfg)[0]
         if best.n == 2:
             chose_two += 1
             if abs(best.breaks[1] - 300) <= 5:
@@ -248,7 +248,7 @@ def test_c08_iid_noise_prefers_single_epoch():
     chose_one = 0
     for _ in range(100):
         x = rng.normal(0, 1, 400)
-        best, _ = select_n(x, cfg)
+        best = select_n(x, cfg)[0]
         if best.n == 1:
             chose_one += 1
     elapsed = time.perf_counter() - t0
@@ -263,7 +263,7 @@ def test_c08_iid_noise_prefers_single_epoch():
 def test_c09_aic_bookkeeping():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 90)
-    best, table = select_n(x, EpochSearchConfig(n_max=3, min_length=10, min_years=None))
+    best, table, _, _ = select_n(x, EpochSearchConfig(n_max=3, min_length=10, min_years=None))
     counts_ok = [row["n_params"] for row in table] == [2, 5, 8]
     selected = next(r for r in table if r["n"] == best.n)
     rel_ok = selected["relative_likelihood"] == 1.0

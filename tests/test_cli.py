@@ -165,6 +165,29 @@ class TestRun:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "corpus cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("override", "minimum", "fits"),
+        [
+            (["--epochs.n_max", "9"], "epochs.min_length = 3", 3),  # 11 positions
+            (["--epochs.min_length", "none", "--epochs.min_years", "20"], "epochs.min_years = 20", 0),  # 11 years
+        ],
+        ids=["min_length", "min_years"],
+    )
+    def test_n_max_that_cannot_fit_exit_1_before_training(self, tmp_path, capsys, override, minimum, fits):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg), *override]) == 1
+        err = capsys.readouterr().err
+        assert "epochs.n_max" in err and minimum in err
+        assert f"the largest number of epochs that fits is {fits}" in err
+        assert not list((tmp_path / "out").rglob("model.bin"))
+
+    def test_staged_epochs_names_n_max(self, tmp_path, capsys):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["epochs", "--config", str(cfg), "--epochs.n_max", "9"]) == 1
+        assert "epochs.n_max = 9 does not fit" in capsys.readouterr().err
+
 
 class TestWithoutCompiler:
     """Only `train` and `run` load the compiled sweep; without `cc` and
@@ -269,6 +292,7 @@ class TestWorkPerK:
             (paths, "divergence_matrix"),
             (surprise, "t2t_series"),
             (surprise, "t2p_series"),
+            (epochs, "evidence_prior"),
         ):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         suffix_dp = epochs._suffix_dp
@@ -280,13 +304,14 @@ class TestWorkPerK:
         monkeypatch.setattr(epochs, "_suffix_dp", counted_pass)
         assert main(["run", "--config", str(cfg), "--topics.k_list", "2,3"]) == 0
         # one ensemble per run; per k one matrix and one series of each
-        # kind; per series one max and one evidence pass; one placement-count
-        # pass per run, since every series shares its dates
+        # kind; per series one prior, one max and one evidence pass; one
+        # placement-count pass per run, since every series shares its dates
         assert counts == {
             "permutations": DEMO_SAMPLES,
             "divergence_matrix": 2,
             "t2t_series": 2,
             "t2p_series": 2,
+            "evidence_prior": 4,
             "_loglik_scores": 4,
             "_evidence_scores": 4,
             "_feasible_scores": 1,
@@ -760,7 +785,7 @@ class TestTracedSpans:
         ("command", "spans"),
         [
             ("run", {"nullmodel.null_permutations", "nullmodel.build_null", "paths.rank_counts",
-                     "paths.rank_bands", "epochs.select_n_with_landscape"}),
+                     "paths.rank_bands", "epochs.select_n"}),
             ("ranks", {"nullmodel.null_permutations", "paths.rank_counts", "paths.rank_bands"}),
         ],
     )

@@ -23,8 +23,6 @@ from readpath.epochs import (
     placement_log_counts,
     segment_loglik,
     select_n,
-    select_n_with_landscape,
-    single_break_landscape,
 )
 from readpath.errors import InputError
 
@@ -152,7 +150,7 @@ class TestFit:
 class TestSelectN:
     def test_parameter_counts_and_relative_likelihood(self, rng):
         x = rng.normal(0, 1, 60)
-        best, table = select_n(x, IDX(n_max=3, min_length=5))
+        best, table, _, _ = select_n(x, IDX(n_max=3, min_length=5))
         assert [row["n_params"] for row in table] == [2, 5, 8]
         selected = next(r for r in table if r["n"] == best.n)
         assert selected["relative_likelihood"] == 1.0
@@ -165,7 +163,7 @@ class TestSelectN:
 
     def test_planted_two_regime_selects_two(self, rng):
         x = np.concatenate([rng.normal(0, 1, 120), rng.normal(3, 1, 120)])
-        best, _ = select_n(x, IDX(n_max=2, min_length=10))
+        best = select_n(x, IDX(n_max=2, min_length=10))[0]
         assert best.n == 2
         assert abs(best.breaks[1] - 120) <= 3
 
@@ -230,7 +228,8 @@ class TestLogEvidence:
     def test_select_n_table_is_relative_evidence(self, rng):
         x = rng.normal(0, 1, 80)
         cfg = IDX(n_max=3, min_length=8)
-        best, table = select_n(x, cfg)
+        best, table, _, prior = select_n(x, cfg)
+        assert prior == evidence_prior(x, cfg)
         ev = log_evidence(x, cfg)
         assert best.n == int(np.argmax(ev)) + 1
         for row, e in zip(table, ev):
@@ -254,15 +253,15 @@ class TestSharedPlacementCount:
         cfg = EpochSearchConfig(n_max=3, min_years=2.0) if calendar else IDX(n_max=3, min_length=9)
         shared = placement_log_counts(length, cfg, dates)
         for x in (rng.normal(0, 1, length), np.r_[rng.normal(0, 1, 60), rng.normal(2, 1, 60)]):
-            best, table, landscape = select_n_with_landscape(x, cfg, dates, log_placements=shared)
-            best0, table0, landscape0 = select_n_with_landscape(x, cfg, dates)
+            best, table, landscape, _ = select_n(x, cfg, dates, log_placements=shared)
+            best0, table0, landscape0, _ = select_n(x, cfg, dates)
             assert best == best0 and table == table0
             np.testing.assert_array_equal(landscape, landscape0)
             np.testing.assert_array_equal([row["log_evidence"] for row in table], log_evidence(x, cfg, dates))
 
     def test_count_for_other_n_max_rejected(self, rng):
         with pytest.raises(ValueError, match="placement count"):
-            select_n_with_landscape(rng.normal(0, 1, 30), IDX(n_max=3), log_placements=np.zeros(2))
+            select_n(rng.normal(0, 1, 30), IDX(n_max=3), log_placements=np.zeros(2))
 
 
 class TestBreakToDate:
@@ -313,7 +312,7 @@ class TestLandscape:
     def test_peak_matches_fit_and_infeasible_nan(self, rng):
         x = np.concatenate([rng.normal(0, 1, 40), rng.normal(4, 1, 40)])
         cfg = IDX(min_length=10)
-        land = single_break_landscape(x, cfg)
+        land = select_n(x, cfg)[2]
         assert np.isnan(land[0]) and np.isnan(land[5]) and np.isnan(land[-1])
         b_star = int(np.nanargmax(land))
         assert b_star == fit(x, 2, cfg).breaks[1]
@@ -525,7 +524,6 @@ class TestBlockedDP:
         expected_ev = table_log_evidence(x, cfg, dates)
         expected_breaks, expected_land = table_breaks_and_landscape(x, cfg, dates)
         assert log_evidence(x, cfg, dates).tobytes() == expected_ev.tobytes()
-        assert single_break_landscape(x, cfg, dates).tobytes() == expected_land.tobytes()
         for n, expected in enumerate(expected_breaks, start=1):
             if isinstance(expected, str):
                 assert expected_ev[n - 1] == -np.inf
@@ -539,10 +537,10 @@ class TestBlockedDP:
         infeasible = [e for e in expected_breaks if isinstance(e, str)]
         if infeasible:
             with pytest.raises(InputError) as err:
-                select_n_with_landscape(x, cfg, dates)
+                select_n(x, cfg, dates)
             assert str(err.value) == infeasible[0]
             return
-        best, rows, land = select_n_with_landscape(x, cfg, dates)
+        best, rows, land, _ = select_n(x, cfg, dates)
         assert land.tobytes() == expected_land.tobytes()
         assert [r["breaks"] for r in rows] == expected_breaks
         assert np.array([r["log_evidence"] for r in rows]).tobytes() == expected_ev.tobytes()
@@ -555,7 +553,7 @@ class TestBlockedDP:
         x = np.random.default_rng(3).normal(0, 1, length)
         tracemalloc.start()
         try:
-            select_n_with_landscape(x, IDX(n_max=3, min_length=5))
+            select_n(x, IDX(n_max=3, min_length=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

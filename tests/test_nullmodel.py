@@ -158,7 +158,7 @@ def valid_permutations(records):
 class TestSampler:
     def test_forced_choices_identity(self, rng):
         records = make_records(pub_years=[1840, 1850, 1860], read_years=[1840, 1850, 1860])
-        perm = ConstrainedPermutationSampler(records).sample_batch(rng, 1)[0]
+        perm = ConstrainedPermutationSampler(records).sample_batch([rng], 1)[0]
         assert list(perm) == [0, 1, 2]
 
     def test_unconstrained_four_titles_uniform(self):
@@ -166,7 +166,7 @@ class TestSampler:
         oracle = valid_permutations(records)
         assert len(oracle) == 24
         sampler = ConstrainedPermutationSampler(records)
-        draws = sampler.sample_batch(np.random.default_rng(7), 12000)
+        draws = sampler.sample_batch([np.random.default_rng(7)] * 12000, 12000)
         counts = Counter(tuple(d) for d in draws)
         expected = 12000 / 24
         chi2 = sum((counts.get(p, 0) - expected) ** 2 / expected for p in oracle)
@@ -177,7 +177,7 @@ class TestSampler:
         oracle = valid_permutations(records)
         assert len(oracle) == 2
         sampler = ConstrainedPermutationSampler(records)
-        draws = sampler.sample_batch(np.random.default_rng(1), 8000)
+        draws = sampler.sample_batch([np.random.default_rng(1)] * 8000, 8000)
         counts = Counter(tuple(d) for d in draws)
         assert set(counts) == set(oracle)
         assert abs(counts[oracle[0]] / 8000 - 0.5) < 0.02
@@ -187,7 +187,7 @@ class TestSampler:
             pub_years=[1840, 1841, 1843, 1843, 1845], read_years=[1841, 1842, 1843, 1845, 1846]
         )
         sampler = ConstrainedPermutationSampler(records)
-        for perm in sampler.sample_batch(rng, 500):
+        for perm in sampler.sample_batch([rng] * 500, 500):
             sampler.check(perm)  # raises on violation
 
     @settings(max_examples=80, deadline=None)
@@ -212,8 +212,8 @@ class TestSampler:
         expected = loop_sample_batch(sampler, u)
         got = sampler.sample_batch([FixedUniforms(row) for row in u], count)
         np.testing.assert_array_equal(got, expected)
-        # one Generator fills the rows from its uniforms in turn
-        got = sampler.sample_batch(np.random.default_rng(seed), count)
+        # one Generator repeated fills the rows from its uniforms in turn
+        got = sampler.sample_batch([np.random.default_rng(seed)] * count, count)
         expected = loop_sample_batch(sampler, np.random.default_rng(seed).random((count, sampler.n)))
         np.testing.assert_array_equal(got, expected)
 
