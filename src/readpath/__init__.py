@@ -21,9 +21,8 @@ from .corpus import (
 from .epochs import (
     EpochModel,
     EpochSearchConfig,
-    break_to_date,
+    epoch_mean_relative,
     fit,
-    log_evidence,
     segment_loglik,
     select_n,
 )
@@ -47,7 +46,6 @@ from .paths import (
 )
 from .surprise import (
     SurpriseSeries,
-    epoch_mean_relative,
     kl_divergence,
     t2n_series,
     t2p_series,
@@ -71,7 +69,6 @@ __all__ = [
     "TopicModelParams",
     "Vocabulary",
     "VolumeRecord",
-    "break_to_date",
     "build_corpus",
     "build_null",
     "divergence_matrix",
@@ -81,7 +78,6 @@ __all__ = [
     "greedy_t2t_path",
     "kl_divergence",
     "load_manifest",
-    "log_evidence",
     "null_permutations",
     "publication_order_series",
     "rank_bands",

@@ -92,6 +92,15 @@ def _kdirs(cfg: RunConfig) -> list[Path]:
     return [cfg.out / f"k{k}" for k in cfg.k_list]
 
 
+def _make_dir(cfg: RunConfig, path: Path) -> None:
+    """Create directory ``path``, ``run.out`` or a bundle in it, and its
+    parents; a file in the way is an input error naming ``run.out``."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {path} (run.out = {cfg.out}): {exc}") from exc
+
+
 def _load_model(cfg: RunConfig, kdir: Path, records, fingerprint: str) -> topics_mod.TopicModel:
     """The model of ``kdir``, trained on the cached corpus. When no setting
     named k, an error loading it also says where the default k came from."""
@@ -112,18 +121,16 @@ def cmd_ingest(cfg: RunConfig) -> None:
         raise InputError("corpus.manifest is required for ingest")
     records = corpus_mod.load_manifest(cfg.manifest)
     vocab, matrix = corpus_mod.build_corpus(records, cfg.corpus)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg, cfg.out)
     exports_mod.save_cache(cfg.out, records, vocab, matrix)
     print(json.dumps(corpus_mod.ingest_stats(vocab, matrix), sort_keys=True))
 
 
 def _train_models(cfg: RunConfig, matrix, fingerprint: str) -> list[topics_mod.TopicModel]:
-    models = topics_mod.sweep_k(
-        matrix, cfg.k_list, cfg.topics, fingerprint=fingerprint, threads=cfg.threads
-    )
+    models = topics_mod.sweep_k(matrix, cfg.k_list, cfg.topics, threads=cfg.threads)
     for kdir, model in zip(_kdirs(cfg), models):
-        kdir.mkdir(parents=True, exist_ok=True)
-        exports_mod.save_model(kdir, model)
+        _make_dir(cfg, kdir)
+        exports_mod.save_model(kdir, model, fingerprint)
         _note(f"trained k={model.k}")
     return models
 
@@ -148,28 +155,18 @@ class _Shared:
         return null_mod.null_permutations(self.records, self.cfg.null)
 
     @functools.cached_property
+    def dates(self) -> list:
+        """The read date at each series position, the first D - 1
+        documents': it sets the calendar minimum of the epoch search and
+        dates its breaks."""
+        return [r.read_date for r in self.records[:-1]]
+
+    @functools.cached_property
     def placements(self) -> np.ndarray:
         """Log placement counts of the epoch search: they depend only on
         the series dates, so both kinds and every k share one count. An
         ``epochs.n_max`` that the series cannot hold is an input error."""
-        search = self.cfg.epochs
-        length = len(self.records) - 1
-        counts = epochs_mod.placement_log_counts(length, search, _series_dates(self.records))
-        if counts[-1] == -np.inf:
-            minimum = (
-                f"epochs.min_length = {search.min_length}" if search.min_length is not None
-                else f"epochs.min_years = {search.min_years:g}"
-            )
-            raise InputError(
-                f"epochs.n_max = {search.n_max} does not fit the series of {length} positions under "
-                f"{minimum}: the largest number of epochs that fits is {np.isfinite(counts).sum()}"
-            )
-        return counts
-
-
-def _series_dates(records) -> list:
-    """The read date at each series position: the first D - 1 documents'."""
-    return [r.read_date for r in records[: len(records) - 1]]
+        return epochs_mod.placement_log_counts(len(self.dates), self.cfg.epochs, self.dates)
 
 
 def _reading_series(model) -> dict[str, surprise_mod.SurpriseSeries]:
@@ -240,10 +237,9 @@ def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, di
     means are reported whenever null statistics are available (the null
     step's in ``done``, else the bundle's null exports). Returns the
     epochs export's payload of each kind."""
-    cfg, records = shared.cfg, shared.records
+    cfg, dates = shared.cfg, shared.dates
     series = done["surprise"] if "surprise" in done else _reading_series(model)
     nulls = done.get("null")
-    dates = _series_dates(records)
     relative = cfg.epoch_input == "relative"
     out = {}
     for kind in surprise_mod.KINDS:
@@ -258,9 +254,9 @@ def _step_epochs(shared: _Shared, kdir: Path, model, done: dict) -> dict[str, di
         )
         rel_means = None
         if null_means is not None:
-            rel_means = [float(x) for x in surprise_mod.epoch_mean_relative(values, null_means, best.breaks)]
+            rel_means = [float(x) for x in epochs_mod.epoch_mean_relative(values, null_means, best.breaks)]
         out[kind] = exports_mod.write_epochs(
-            kdir, kind, cfg.epoch_input, best, table, epochs_mod.break_to_date(best, records),
+            kdir, kind, cfg.epoch_input, best, table, [(b, dates[b]) for b in best.breaks],
             rel_means, prior, landscape,
         )
     return out
@@ -295,7 +291,7 @@ def cmd_run(cfg: RunConfig) -> None:
     one bundle directory per k with a summary and a file manifest."""
     stage_s = dict.fromkeys(_STAGES, 0.0)
     stage_rss = dict.fromkeys(_STAGES, 0.0)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg, cfg.out)
     with _timed(stage_s, stage_rss, "ingest"):
         if not exports_mod.corpus_cached(cfg.out):
             if cfg.manifest is None:

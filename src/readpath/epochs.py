@@ -41,7 +41,11 @@ level: O(L^2) time at most. `select_n` costs a series a max, an evidence
 and a placement-count pass, and reads its single-break landscape from row
 0 and column L of the scores, O(L). The count pass depends only on the
 minimum lengths, so `placement_log_counts` lets series that share their
-dates share it.
+dates share it; it is also where an ``n_max`` that the series cannot hold
+is found, with one message for the library and the command line.
+
+`epoch_mean_relative` gives each epoch's mean surprise relative to the
+null, whose sign marks exploration (+) or exploitation (-).
 
 The minimum epoch length is either a fixed index count or a calendar
 duration; the calendar form resolves, for each candidate segment start,
@@ -58,7 +62,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError
-from .surprise import _series_values, check_breaks
+from .surprise import _series_values
 
 DAYS_PER_YEAR = 365.25
 
@@ -109,10 +113,17 @@ class EpochModel:
         return len(self.breaks)
 
 
-def _segment_stats(seg: np.ndarray, variance_floor: float):
-    mu = seg.mean()
-    var = float(np.mean((seg - mu) ** 2))
-    return float(mu), max(var, variance_floor)
+def check_breaks(breaks, length: int) -> list[int]:
+    """``breaks`` as a list of segment starts of a series of ``length``
+    positions: from 0, strictly increasing and in range."""
+    breaks = [int(b) for b in breaks]
+    if not breaks or breaks[0] != 0:
+        raise ValueError("breaks must start at 0")
+    if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
+        raise ValueError("breaks must be strictly increasing")
+    if breaks[-1] >= length:
+        raise ValueError(f"break {breaks[-1]} out of range for length {length}")
+    return breaks
 
 
 def segment_loglik(series, breaks, *, variance_floor: float = VARIANCE_FLOOR) -> float:
@@ -120,14 +131,23 @@ def segment_loglik(series, breaks, *, variance_floor: float = VARIANCE_FLOOR) ->
     x = _series_values(series)
     if len(x) == 0:
         raise ValueError("empty series")
-    bounds = check_breaks(breaks, len(x)) + [len(x)]
-    total = 0.0
-    for s, e in zip(bounds, bounds[1:]):
+    breaks = check_breaks(breaks, len(x))
+    for s, e in zip(breaks, breaks[1:] + [len(x)]):
         if e - s < 2:
             raise ValueError(f"segment [{s}, {e}) shorter than 2 positions")
-        _, var = _segment_stats(x[s:e], variance_floor)
-        total += -((e - s) / 2.0) * (1.0 + math.log(2.0 * math.pi * var))
-    return float(total)
+    return _model(x, breaks, variance_floor).log_likelihood
+
+
+def epoch_mean_relative(series, null_mean_per_position, breaks) -> np.ndarray:
+    """Mean of (surprise - null mean) within each segment; sign marks
+    exploration (+) versus exploitation (-)."""
+    v = _series_values(series)
+    null_mean = np.asarray(null_mean_per_position, dtype=np.float64)
+    if v.shape != null_mean.shape:
+        raise ValueError(f"length mismatch: {v.shape} vs {null_mean.shape}")
+    bounds = check_breaks(breaks, len(v)) + [len(v)]
+    rel = v - null_mean
+    return np.array([rel[a:b].mean() for a, b in zip(bounds, bounds[1:])])
 
 
 def _min_length_by_start(length: int, config: EpochSearchConfig, dates: list[date] | None) -> np.ndarray:
@@ -295,15 +315,22 @@ def _ml_breaks(score, best: np.ndarray, n: int) -> list[int]:
     return breaks
 
 
-def _model(x: np.ndarray, breaks: list[int]) -> EpochModel:
-    bounds = breaks + [len(x)]
-    stats = [_segment_stats(x[s:e], VARIANCE_FLOOR) for s, e in zip(bounds, bounds[1:])]
-    ll = segment_loglik(x, breaks)
+def _model(x: np.ndarray, breaks: list[int], variance_floor: float = VARIANCE_FLOOR) -> EpochModel:
+    """The model of x split at ``breaks``: each segment's mean and
+    maximum-likelihood variance, and their profiled log-likelihood summed
+    in segment order."""
+    means, variances, ll = [], [], 0.0
+    for s, e in zip(breaks, breaks[1:] + [len(x)]):
+        mu = x[s:e].mean()
+        var = max(float(np.mean((x[s:e] - mu) ** 2)), variance_floor)
+        means.append(float(mu))
+        variances.append(var)
+        ll += -((e - s) / 2.0) * (1.0 + math.log(2.0 * math.pi * var))
     n_params = 3 * len(breaks) - 1
     return EpochModel(
         breaks=tuple(breaks),
-        means=tuple(mu for mu, _ in stats),
-        variances=tuple(var for _, var in stats),
+        means=tuple(means),
+        variances=tuple(variances),
         log_likelihood=ll,
         n_params=n_params,
         aic=2.0 * n_params - 2.0 * ll,
@@ -344,41 +371,26 @@ def evidence_prior(series, config: EpochSearchConfig) -> dict:
     return {"m0": float(x.mean()), "kappa0": PRIOR_KAPPA0, "a0": PRIOR_A0, "b0": PRIOR_A0 * var}
 
 
-def _placement_log_counts(min_len: np.ndarray, n_max: int) -> np.ndarray:
-    return _suffix_dp(partial(_feasible_scores, min_len), min_len, n_max, _row_logsumexp)[1:, 0]
-
-
 def placement_log_counts(
     length: int, config: EpochSearchConfig, dates: list[date] | None = None
 ) -> np.ndarray:
     """Log number of admissible break placements for n = 1..n_max epochs
-    over ``length`` positions (-inf where there is none): one `_suffix_dp`
-    logsumexp pass. It depends only on the minimum lengths, so every
-    series of that length and those dates shares it."""
-    return _placement_log_counts(_min_length_by_start(length, config, dates), config.n_max)
-
-
-def _log_evidence(x: np.ndarray, min_len: np.ndarray, prior: dict, log_count: np.ndarray) -> np.ndarray:
-    """Log evidence for n = 1..len(log_count) epochs under ``prior``, from
-    one `_suffix_dp` logsumexp pass and the placement counts."""
-    evidence = _evidence_scorer(x, min_len, prior)
-    log_total = _suffix_dp(evidence, min_len, len(log_count), _row_logsumexp)[1:, 0]
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isfinite(log_count), log_total - log_count, -np.inf)
-
-
-def log_evidence(
-    series, config: EpochSearchConfig, dates: list[date] | None = None
-) -> np.ndarray:
-    """Log marginal evidence for n = 1..n_max epochs (natural log) under
-    the `evidence_prior` and a uniform prior over admissible break
-    placements; -inf where n epochs do not fit the minimum length. Two
-    `_suffix_dp` logsumexp passes: the evidence and the placement count."""
-    x = _series_values(series)
-    if len(x) == 0:
-        raise ValueError("empty series")
-    min_len = _min_length_by_start(len(x), config, dates)
-    return _log_evidence(x, min_len, evidence_prior(x, config), _placement_log_counts(min_len, config.n_max))
+    over ``length`` positions: one `_suffix_dp` logsumexp pass. It depends
+    only on the minimum lengths, so every series of that length and those
+    dates shares it. An ``n_max`` that does not fit is an InputError naming
+    it, the minimum in use and the largest number of epochs that fits."""
+    min_len = _min_length_by_start(length, config, dates)
+    counts = _suffix_dp(partial(_feasible_scores, min_len), min_len, config.n_max, _row_logsumexp)[1:, 0]
+    if counts[-1] == -np.inf:
+        minimum = (
+            f"epochs.min_length = {config.min_length}" if config.min_length is not None
+            else f"epochs.min_years = {config.min_years:g}"
+        )
+        raise InputError(
+            f"epochs.n_max = {config.n_max} does not fit the series of {length} positions under "
+            f"{minimum}: the largest number of epochs that fits is {np.isfinite(counts).sum()}"
+        )
+    return counts
 
 
 def select_n(
@@ -391,7 +403,8 @@ def select_n(
     (ties favor fewer epochs); the chosen model carries the
     maximum-likelihood breaks for that n. One evidence pass and one max
     pass for every n's breaks. ``log_placements`` is `placement_log_counts`
-    of the series' length and dates, computed here when not given.
+    of the series' length and dates, computed here when not given (an
+    ``n_max`` that does not fit raises there).
 
     Returns ``(best, table, landscape, prior)``:
     - the chosen model;
@@ -408,16 +421,17 @@ def select_n(
     if len(x) == 0:
         raise ValueError("empty series")
     length = len(x)
-    min_len = _min_length_by_start(length, config, dates)
     if log_placements is None:
-        log_placements = _placement_log_counts(min_len, config.n_max)
+        log_placements = placement_log_counts(length, config, dates)
     elif np.shape(log_placements) != (config.n_max,):
         raise ValueError(f"need one placement count per n = 1..{config.n_max}")
-    prior = evidence_prior(x, config)
-    evidence = _log_evidence(x, min_len, prior, log_placements)
+    min_len = _min_length_by_start(length, config, dates)
     score = _loglik_scorer(x, min_len)
     best = _suffix_dp(score, min_len, config.n_max, _row_max)
     models = [_model(x, _ml_breaks(score, best, n)) for n in range(1, config.n_max + 1)]
+    prior = evidence_prior(x, config)
+    log_total = _suffix_dp(_evidence_scorer(x, min_len, prior), min_len, config.n_max, _row_logsumexp)
+    evidence = log_total[1:, 0] - log_placements
     chosen = int(np.argmax(evidence))
     rows = [
         {
@@ -437,14 +451,3 @@ def select_n(
     two = score(0, inner) + score(inner, length)  # row 0 and column L: O(L)
     landscape[1:length] = np.where(np.isfinite(two), two, np.nan)
     return models[chosen], rows, landscape, prior
-
-
-def break_to_date(model: EpochModel, records) -> list[tuple[int, date]]:
-    """Map each break index to the read date of the volume at that index."""
-    out = []
-    for b in model.breaks:
-        if not (0 <= b < len(records)):
-            raise IndexError(f"break index {b} out of range for {len(records)} records")
-        out.append((b, records[b].read_date))
-    return out
-

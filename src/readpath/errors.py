@@ -1,4 +1,4 @@
-"""Shared exception types and the one reader of input text files."""
+"""Shared exception types and the readers of input files."""
 
 from __future__ import annotations
 
@@ -19,5 +19,15 @@ def read_text(path: Path | str, newline: str | None = None) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_bytes(path: Path | str) -> bytes:
+    """The bytes of an input file. A file that cannot be read (such as a
+    directory in its place) is an InputError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

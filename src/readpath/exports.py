@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusMatrix, Vocabulary, VolumeRecord
-from .errors import InputError, read_text
+from .errors import InputError, read_bytes, read_text
 from .surprise import KINDS
 from .topics import TopicModel, TopicModelParams, kernel_flags
 
@@ -273,11 +273,12 @@ def load_cache(out: Path) -> tuple[list[VolumeRecord], Vocabulary, CorpusMatrix,
     return records, vocab, matrix, meta["corpus_fingerprint"]
 
 
-def save_model(kdir: Path, model: TopicModel) -> None:
+def save_model(kdir: Path, model: TopicModel, corpus_fingerprint: str) -> None:
     """``model.bin``, one canonical-JSON header line and then theta and phi as
     row-major float64 bytes (no timestamps, so identical models serialize
     to identical bytes), and ``model.meta.json``, which records its sha256
-    and the build flags of the sweep kernel."""
+    and the build flags of the sweep kernel. Both name the fingerprint of
+    the corpus the model was trained on, which `load_model` checks."""
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "topic-model",
@@ -285,7 +286,7 @@ def save_model(kdir: Path, model: TopicModel) -> None:
         "k": model.theta.shape[1],
         "v": model.phi.shape[1],
         "params": dataclasses.asdict(model.params),
-        "corpus_fingerprint": model.corpus_fingerprint,
+        "corpus_fingerprint": corpus_fingerprint,
     }
     digest = hashlib.sha256()
     with open(kdir / "model.bin", "wb") as fh:
@@ -303,7 +304,7 @@ def save_model(kdir: Path, model: TopicModel) -> None:
             "k": model.k,
             "seed": model.params.seed,
             "iterations": model.params.iterations,
-            "corpus_fingerprint": model.corpus_fingerprint,
+            "corpus_fingerprint": corpus_fingerprint,
             "model_sha256": digest.hexdigest(),
             "sweep_kernel_flags": " ".join(kernel_flags()),
             **_numeric_stack(),
@@ -317,10 +318,11 @@ def load_model(kdir: Path, n_docs: int, corpus_fingerprint: str) -> TopicModel:
     body of the wrong size or one that breaks the model's invariants (rows
     on the simplex, strictly positive) is an InputError naming the file."""
     path = _require(kdir / "model.bin", "topic model", "train")
-    with open(path, "rb") as fh:
-        header_line, body = fh.readline(), fh.read()
-    _check_digest(path, kdir / "model.meta.json", "train", [header_line, body], "model_sha256")
-    header = _json_object(path, header_line, "model artifact")
+    data = read_bytes(path)
+    _check_digest(path, kdir / "model.meta.json", "train", [data], "model_sha256")
+    body_start = data.find(b"\n") + 1 or len(data)
+    body = memoryview(data)[body_start:]  # a view, not a second copy of theta and phi
+    header = _json_object(path, data[:body_start], "model artifact")
     if header.get("kind") != "topic-model" or header.get("format_version") != MODEL_FORMAT_VERSION:
         raise InputError(f"model artifact {path}: unsupported format tag")
     try:
@@ -343,7 +345,7 @@ def load_model(kdir: Path, n_docs: int, corpus_fingerprint: str) -> TopicModel:
     theta = np.frombuffer(body, dtype=np.float64, count=d * k).reshape(d, k)
     phi = np.frombuffer(body, dtype=np.float64, offset=d * k * 8).reshape(k, v)
     try:
-        return TopicModel(theta=theta, phi=phi, params=params, corpus_fingerprint=corpus_fingerprint)
+        return TopicModel(theta=theta, phi=phi, params=params)
     except ValueError as exc:
         raise InputError(f"corrupted model artifact {path}: {exc}") from exc
 
@@ -583,7 +585,7 @@ def load_summary(kdir: Path) -> dict:
         if not (kdir / name).exists():
             raise InputError(f"bundle is missing an artifact that {manifest_path} declares: {name}")
     model_path = kdir / "model.bin"
-    _check_digest(model_path, kdir / "model.meta.json", "train", [model_path.read_bytes()], "model_sha256")
+    _check_digest(model_path, kdir / "model.meta.json", "train", [read_bytes(model_path)], "model_sha256")
     names = [f"{stem}_{kind.lower()}.csv" for stem in ("series", "puborder", "null") for kind in KINDS]
     for name in names + ["summary.json"]:
         check_lineage(kdir / name, "run")

@@ -16,7 +16,7 @@ evaluator, `_OrderValues`, gives both kinds (`KINDS`) of any order of the
 rows of theta through it, one method per kind: the reading order here,
 one kind per series, and the null and Monte Carlo publication orders in
 `nullmodel`, both kinds per order. The scalar `kl_divergence` is the
-kernel's test reference.
+kernel's test reference. `epochs` segments these series.
 """
 
 from __future__ import annotations
@@ -196,26 +196,3 @@ def _series_values(series) -> np.ndarray:
     if isinstance(series, SurpriseSeries):
         return series.values
     return np.asarray(series, dtype=np.float64)
-
-
-def check_breaks(breaks, length: int) -> list[int]:
-    breaks = [int(b) for b in breaks]
-    if not breaks or breaks[0] != 0:
-        raise ValueError("breaks must start at 0")
-    if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-        raise ValueError("breaks must be strictly increasing")
-    if breaks[-1] >= length:
-        raise ValueError(f"break {breaks[-1]} out of range for length {length}")
-    return breaks
-
-
-def epoch_mean_relative(series, null_mean_per_position, breaks) -> np.ndarray:
-    """Mean of (surprise - null mean) within each segment; sign marks
-    exploration (+) versus exploitation (-)."""
-    v = _series_values(series)
-    null_mean = np.asarray(null_mean_per_position, dtype=np.float64)
-    if v.shape != null_mean.shape:
-        raise ValueError(f"length mismatch: {v.shape} vs {null_mean.shape}")
-    bounds = check_breaks(breaks, len(v)) + [len(v)]
-    rel = v - null_mean
-    return np.array([rel[a:b].mean() for a, b in zip(bounds, bounds[1:])])

@@ -230,7 +230,6 @@ class TopicModel:
     theta: np.ndarray  # D x k document-topic rows
     phi: np.ndarray  # k x V topic-word rows
     params: TopicModelParams
-    corpus_fingerprint: str = ""
 
     def __post_init__(self):
         for name, m in (("theta", self.theta), ("phi", self.phi)):
@@ -244,9 +243,7 @@ class TopicModel:
         return self.theta.shape[1]
 
 
-def train(
-    corpus: CorpusMatrix, params: TopicModelParams, fingerprint: str = "", streams=None
-) -> TopicModel:
+def train(corpus: CorpusMatrix, params: TopicModelParams, streams=None) -> TopicModel:
     """Fit a model; deterministic for a fixed (corpus, params) pair.
     ``streams`` are the corpus's token streams when the caller shares one
     copy between chains (`sweep_k`); by default `train` builds its own."""
@@ -277,14 +274,13 @@ def train(
 
     theta = theta_acc / params.average_last
     phi = phi_acc / params.average_last
-    return TopicModel(theta=theta, phi=phi, params=params, corpus_fingerprint=fingerprint)
+    return TopicModel(theta=theta, phi=phi, params=params)
 
 
 def sweep_k(
     corpus: CorpusMatrix,
     k_list: list[int],
     base_params: TopicModelParams,
-    fingerprint: str = "",
     threads: int = 1,
 ) -> list[TopicModel]:
     """Train one independent model per k; model i is seeded base seed + i.
@@ -307,8 +303,8 @@ def sweep_k(
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                p: pool.submit(train, corpus, p, fingerprint, streams)
+                p: pool.submit(train, corpus, p, streams)
                 for p in sorted(all_params, key=lambda p: p.k, reverse=True)
             }
             return [futures[p].result() for p in all_params]
-    return [train(corpus, p, fingerprint, streams) for p in all_params]
+    return [train(corpus, p, streams) for p in all_params]

@@ -188,6 +188,21 @@ class TestRun:
         assert main(["epochs", "--config", str(cfg), "--epochs.n_max", "9"]) == 1
         assert "epochs.n_max = 9 does not fit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "out"),
+        [("run", "run.cfg"), ("ingest", "run.cfg/out"), ("train", "out/k2")],
+        ids=["run_out_is_a_file", "run_out_under_a_file", "bundle_is_a_file"],
+    )
+    def test_file_in_the_way_of_an_output_directory_exit_1_names_run_out(self, tmp_path, capsys, command, out):
+        cfg = build_demo(tmp_path)
+        if command == "train":
+            assert main(["ingest", "--config", str(cfg)]) == 0
+            (tmp_path / out).write_text("", encoding="utf-8")
+            out = "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+        assert "run.out" in capsys.readouterr().err
+
 
 class TestWithoutCompiler:
     """Only `train` and `run` load the compiled sweep; without `cc` and
@@ -366,6 +381,17 @@ class TestArtifactChecks:
         restamp(model)
         capsys.readouterr()
         assert main(["surprise", "--config", str(cfg)]) == 1
+        assert "model.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["surprise", "report"])
+    def test_unreadable_model_exit_1_names_file(self, tmp_path, capsys, command):
+        cfg = build_demo(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        kdir = tmp_path / "out" / "k2"
+        (kdir / "model.bin").unlink()
+        (kdir / "model.bin").mkdir()  # exists, but cannot be read as a file
+        capsys.readouterr()
+        assert main(["report", str(kdir)] if command == "report" else [command, "--config", str(cfg)]) == 1
         assert "model.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -16,17 +17,14 @@ from readpath.epochs import (
     EpochSearchConfig,
     _infeasible,
     _min_length_by_start,
-    break_to_date,
+    epoch_mean_relative,
     evidence_prior,
     fit,
-    log_evidence,
     placement_log_counts,
     segment_loglik,
     select_n,
 )
 from readpath.errors import InputError
-
-from conftest import make_records
 
 IDX = lambda n_max=3, min_length=2: EpochSearchConfig(  # noqa: E731
     n_max=n_max, min_length=min_length, min_years=None
@@ -191,18 +189,34 @@ def chain_log_evidence(seg, prior):
     return total
 
 
+def table_evidence(x, config, dates=None) -> list[float]:
+    """The log evidence column of `select_n`'s table."""
+    return [row["log_evidence"] for row in select_n(x, config, dates)[1]]
+
+
+def n_max_message(config, length, fits) -> str:
+    minimum = (
+        f"epochs.min_length = {config.min_length}" if config.min_length is not None
+        else f"epochs.min_years = {config.min_years:g}"
+    )
+    return (
+        f"epochs.n_max = {config.n_max} does not fit the series of {length} positions under "
+        f"{minimum}: the largest number of epochs that fits is {fits}"
+    )
+
+
 class TestLogEvidence:
     def test_single_segment_matches_predictive_chain(self, rng):
         x = rng.normal(1.5, 2.0, 40)
         cfg = IDX(n_max=1)
         expected = chain_log_evidence(x, evidence_prior(x, cfg))
-        assert log_evidence(x, cfg)[0] == pytest.approx(expected, abs=1e-9)
+        assert table_evidence(x, cfg)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_brute_force_over_placements(self, rng):
         x = rng.normal(0, 1, 14)
         cfg = IDX(n_max=3, min_length=3)
         prior = evidence_prior(x, cfg)
-        got = log_evidence(x, cfg)
+        got = table_evidence(x, cfg)
         for n in (1, 2, 3):
             terms = []
             for inner in itertools.combinations(range(1, 14), n - 1):
@@ -221,19 +235,15 @@ class TestLogEvidence:
         }
         assert evidence_prior(np.ones(5), IDX())["b0"] == 1e-12  # variance floor
 
-    def test_infeasible_n_is_minus_infinity(self, rng):
-        ev = log_evidence(rng.normal(0, 1, 10), IDX(n_max=3, min_length=4))
-        assert np.isfinite(ev[:2]).all() and ev[2] == -np.inf
-
     def test_select_n_table_is_relative_evidence(self, rng):
         x = rng.normal(0, 1, 80)
         cfg = IDX(n_max=3, min_length=8)
         best, table, _, prior = select_n(x, cfg)
         assert prior == evidence_prior(x, cfg)
-        ev = log_evidence(x, cfg)
+        ev = np.array([row["log_evidence"] for row in table])
+        assert ev.tobytes() == table_log_evidence(x, cfg, None).tobytes()
         assert best.n == int(np.argmax(ev)) + 1
         for row, e in zip(table, ev):
-            assert row["log_evidence"] == e
             assert row["relative_likelihood"] == pytest.approx(math.exp(e - ev.max()))
             assert row["aic"] == fit(x, row["n"], cfg).aic
 
@@ -257,55 +267,47 @@ class TestSharedPlacementCount:
             best0, table0, landscape0, _ = select_n(x, cfg, dates)
             assert best == best0 and table == table0
             np.testing.assert_array_equal(landscape, landscape0)
-            np.testing.assert_array_equal([row["log_evidence"] for row in table], log_evidence(x, cfg, dates))
+            expected = table_log_evidence(x, cfg, dates)
+            assert np.array([row["log_evidence"] for row in table]).tobytes() == expected.tobytes()
 
     def test_count_for_other_n_max_rejected(self, rng):
         with pytest.raises(ValueError, match="placement count"):
             select_n(rng.normal(0, 1, 30), IDX(n_max=3), log_placements=np.zeros(2))
 
+    @pytest.mark.parametrize(
+        ("cfg", "fits"),
+        [
+            (IDX(n_max=3, min_length=4), 2),  # 10 positions of at least 4
+            (EpochSearchConfig(n_max=2, min_years=4.5), 1),  # a segment spans 6 yearly dates
+        ],
+        ids=["min_length", "min_years"],
+    )
+    def test_n_max_that_cannot_fit_gives_the_command_line_message(self, rng, cfg, fits):
+        x = rng.normal(0, 1, 10)
+        dates = [date(1840 + i, 1, 1) for i in range(10)]
+        message = n_max_message(cfg, 10, fits)
+        for call in (lambda: placement_log_counts(10, cfg, dates), lambda: select_n(x, cfg, dates)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == message
+        assert len(select_n(x, dataclasses.replace(cfg, n_max=fits), dates)[1]) == fits
 
-class TestBreakToDate:
-    def test_maps_indices_to_read_dates(self, rng):
-        records = make_records(
-            pub_years=[1840] * 5, read_dates=[date(1850, 1, 1 + i) for i in range(5)]
-        )
-        x = rng.normal(0, 1, 4)
-        m = fit(x, 2, IDX(min_length=2))
-        pairs = break_to_date(m, records)
-        assert pairs[0] == (0, date(1850, 1, 1))
-        assert all(records[b].read_date == d for b, d in pairs)
 
-    def test_fourth_record_example(self, rng):
-        records = make_records(
-            pub_years=[1840] * 5, read_dates=[date(1850, 1, 1 + i) for i in range(5)]
-        )
-        model = fit(np.array([0.0, 0.1, 5.0, 5.1, 5.05]), 2, IDX(min_length=2))
-        # force a specific mapping check: index 3 -> 4th record
-        from readpath.epochs import EpochModel
+class TestEpochMeanRelative:
+    def test_single_segment_matching_null(self):
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(epoch_mean_relative(v, v, [0]), [0.0])
 
-        m = EpochModel(
-            breaks=(0, 3), means=(0.0, 0.0), variances=(1.0, 1.0),
-            log_likelihood=0.0, n_params=5, aic=10.0,
-        )
-        assert break_to_date(m, records)[1] == (3, date(1850, 1, 4))
+    def test_two_segment_hand_means(self):
+        v = np.array([1.0, 2.0, 4.0, 6.0])
+        null = np.array([1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(epoch_mean_relative(v, null, [0, 2]), [0.5, 4.0])
 
-    def test_monotone_dates_give_monotone_breaks(self, rng):
-        records = make_records(
-            pub_years=[1840] * 30, read_dates=[date(1850, 1, 1) + __import__("datetime").timedelta(days=3 * i) for i in range(30)]
-        )
-        x = rng.normal(0, 1, 29)
-        m = fit(x, 3, IDX(min_length=4))
-        dates = [d for _, d in break_to_date(m, records)]
-        assert all(a <= b for a, b in zip(dates, dates[1:]))
-
-    def test_out_of_range_rejected(self, rng):
-        records = make_records(pub_years=[1840] * 3)
-        from readpath.epochs import EpochModel
-
-        m = EpochModel(breaks=(0, 5), means=(0, 0), variances=(1, 1),
-                       log_likelihood=0.0, n_params=5, aic=10.0)
-        with pytest.raises(IndexError):
-            break_to_date(m, records)
+    def test_invalid_breaks_rejected(self):
+        v = np.ones(4)
+        for breaks in ([], [1], [0, 0], [0, 5]):
+            with pytest.raises(ValueError):
+                epoch_mean_relative(v, v, breaks)
 
 
 class TestLandscape:
@@ -428,7 +430,8 @@ def _log_path_sums(table: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def table_log_evidence(x, config, dates):
-    """`log_evidence` from one evidence table, as before the blocked pass."""
+    """The log evidence for n = 1..n_max from one evidence table, as before
+    the blocked pass; -inf where n epochs do not fit."""
     min_len = _min_length_by_start(len(x), config, dates)
     table = _segment_evidence_table(x, min_len, evidence_prior(x, config))
     log_count = _log_path_sums(np.where(np.isfinite(table), 0.0, -np.inf), config.n_max)
@@ -523,7 +526,7 @@ class TestBlockedDP:
         x, cfg, dates = problem
         expected_ev = table_log_evidence(x, cfg, dates)
         expected_breaks, expected_land = table_breaks_and_landscape(x, cfg, dates)
-        assert log_evidence(x, cfg, dates).tobytes() == expected_ev.tobytes()
+        fits = sum(not isinstance(e, str) for e in expected_breaks)
         for n, expected in enumerate(expected_breaks, start=1):
             if isinstance(expected, str):
                 assert expected_ev[n - 1] == -np.inf
@@ -533,18 +536,20 @@ class TestBlockedDP:
             else:
                 m = fit(x, n, cfg, dates)
                 assert list(m.breaks) == expected
-                assert m.log_likelihood == segment_loglik(x, expected)
-        infeasible = [e for e in expected_breaks if isinstance(e, str)]
-        if infeasible:
+                segments = [x[s:e] for s, e in zip(expected, expected[1:] + [len(x)])]
+                assert m.log_likelihood == hand_loglik(segments)
+        if fits < cfg.n_max:
             with pytest.raises(InputError) as err:
                 select_n(x, cfg, dates)
-            assert str(err.value) == infeasible[0]
-            return
+            assert str(err.value) == n_max_message(cfg, len(x), fits)
+            if fits == 0:
+                return
+            cfg = dataclasses.replace(cfg, n_max=fits)  # the feasible n, each as bit-equal
         best, rows, land, _ = select_n(x, cfg, dates)
         assert land.tobytes() == expected_land.tobytes()
-        assert [r["breaks"] for r in rows] == expected_breaks
-        assert np.array([r["log_evidence"] for r in rows]).tobytes() == expected_ev.tobytes()
-        assert best.n == int(np.argmax(expected_ev)) + 1
+        assert [r["breaks"] for r in rows] == expected_breaks[:fits]
+        assert np.array([r["log_evidence"] for r in rows]).tobytes() == expected_ev[:fits].tobytes()
+        assert best.n == int(np.argmax(expected_ev[:fits])) + 1
 
     def test_no_whole_table_allocated(self):
         # One (L+1)^2 float64 table at L = 2,000 is 32 MB; the whole-table

@@ -7,7 +7,6 @@ from readpath import surprise
 from readpath.surprise import (
     KINDS,
     _OrderValues,
-    epoch_mean_relative,
     kl_divergence,
     t2n_series,
     t2p_series,
@@ -141,20 +140,3 @@ class TestSeries:
         s = t2n_series(t, 3, ordering="publication-order")
         assert s.kind == "T2N" and s.n_window == 3 and s.ordering == "publication-order"
         assert len(s) == 1
-
-
-class TestEpochMeanRelative:
-    def test_single_segment_matching_null(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(epoch_mean_relative(v, v, [0]), [0.0])
-
-    def test_two_segment_hand_means(self):
-        v = np.array([1.0, 2.0, 4.0, 6.0])
-        null = np.array([1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(epoch_mean_relative(v, null, [0, 2]), [0.5, 4.0])
-
-    def test_invalid_breaks_rejected(self):
-        v = np.ones(4)
-        for breaks in ([], [1], [0, 0], [0, 5]):
-            with pytest.raises(ValueError):
-                epoch_mean_relative(v, v, breaks)

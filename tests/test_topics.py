@@ -463,11 +463,11 @@ class TestSweepK:
         started = []
         first_two = threading.Barrier(2, timeout=30)
 
-        def recording_train(corpus, params, fingerprint="", streams=None):
+        def recording_train(corpus, params, streams=None):
             started.append(params.k)
             if len(started) <= 2:  # neither worker finishes before both have begun
                 first_two.wait()
-            return train(corpus, params, fingerprint, streams)
+            return train(corpus, params, streams)
 
         monkeypatch.setattr(topics, "train", recording_train)
         threaded = sweep_k(matrix, [3, 2, 4], PARAMS, threads=2)
@@ -489,17 +489,18 @@ class TestSweepK:
 class TestModelArtifact:
     def test_roundtrip_and_stable_bytes(self, rng, tmp_path):
         matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
-        model = train(matrix, PARAMS, fingerprint="f" * 64)
+        model = train(matrix, PARAMS)
         p1, p2 = tmp_path / "m1", tmp_path / "m2"
         for p in (p1, p2):
             p.mkdir()
-            save_model(p, model)
+            save_model(p, model, "f" * 64)
         assert (p1 / "model.bin").read_bytes() == (p2 / "model.bin").read_bytes()
         loaded = load_model(p1, 8, "f" * 64)
         assert np.array_equal(loaded.theta, model.theta)
         assert np.array_equal(loaded.phi, model.phi)
         assert loaded.params == model.params
-        assert loaded.corpus_fingerprint == "f" * 64
+        with pytest.raises(InputError, match="another corpus"):
+            load_model(p1, 8, "e" * 64)
 
     def test_bad_artifact_rejected(self, tmp_path):
         p = tmp_path / "model.bin"
