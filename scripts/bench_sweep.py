@@ -4,8 +4,8 @@
 Trains the models of a k sweep with ``readpath.topics.sweep_k`` (the call
 ``train`` and ``run`` make) and prints one JSON line: the wall seconds of
 each repeat, ns per (token, topic) update as perfbench counts it (sweep_k
-seconds over tokens x sum(k) x sweeps), the share of tokens whose
-(document, word) pair equals the previous token's, the peak RSS, and a
+seconds over tokens x sum(k) x sweeps), the share of tokens that are not
+the first of their sparse (document, word) entry, the peak RSS, and a
 SHA-256 over every model's theta and phi bytes, so two source trees can be
 compared for speed and for identical results. It also prints the kernel's
 build flags (``-mavx2`` when the CPU has AVX2) and the numpy and scipy
@@ -67,24 +67,21 @@ def zipf_corpus(n_docs: int, doc_tokens: int, n_vocab: int, seed: int) -> Corpus
 
 
 def repeat_fraction(corpus: CorpusMatrix) -> float:
-    doc_of, word_of = corpus.token_streams()
-    same = (doc_of[1:] == doc_of[:-1]) & (word_of[1:] == word_of[:-1])
-    return float(same.sum() / doc_of.size)
+    return (corpus.total_tokens - corpus.counts.size) / corpus.total_tokens
 
 
 def last_sweep_reuse(corpus: CorpusMatrix, params: topics.TopicModelParams) -> float:
     """Replays ``train``'s chain and returns, among repeated tokens of the
     last sweep, the share whose previous token drew the topic it gives back."""
-    doc_of, word_of = topics._token_streams(corpus)
     k, alpha = params.k, params.resolved_alpha
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    z, n_dk, n_kv, n_k = topics._init_chain(rng, doc_of, word_of, k, corpus.n_docs, corpus.n_vocab)
-    cum, term = np.empty(k), np.empty(k)
+    z, n_dk, n_kv, n_k = topics._init_chain(rng, corpus, k)
     for _ in range(params.iterations):
         before = z.copy()
-        topics._sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, params.beta, cum, term)
-    repeat = (doc_of[1:] == doc_of[:-1]) & (word_of[1:] == word_of[:-1])
-    return float((z[:-1] == before[1:])[repeat].mean())
+        topics._sweep(rng, corpus, z, n_dk, n_kv, n_k, alpha, params.beta)
+    repeat = np.ones(z.size, dtype=bool)
+    repeat[np.cumsum(corpus.counts)[:-1]] = False  # the first token of each entry
+    return float((z[:-1] == before[1:])[repeat[1:]].mean())
 
 
 def models_digest(models) -> str:

@@ -99,13 +99,14 @@ class CorpusMatrix:
     """Per-document sparse token counts over vocabulary indices (CSR layout).
 
     Document order is reading order. Stored counts are strictly positive
-    and per-document indices are ascending.
+    and per-document indices are ascending. The three arrays are held as
+    C-contiguous int64, the layout the Gibbs sweep reads in place.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray, n_vocab: int):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
+        self.indptr, self.indices, self.counts = (
+            np.asarray(a, dtype=np.int64, order="C") for a in (indptr, indices, counts)
+        )
         self.n_vocab = int(n_vocab)
         if (
             self.indptr.ndim != 1
@@ -130,17 +131,6 @@ class CorpusMatrix:
     @property
     def total_tokens(self) -> int:
         return int(self.counts.sum())
-
-    def token_streams(self) -> tuple[np.ndarray, np.ndarray]:
-        """Expand counts into parallel, read-only int32 (document, vocab
-        index) arrays with one entry per token occurrence, in document
-        order. Built as int32 from the start; the caller keeps the token
-        count below 2**31."""
-        doc_of = np.repeat(np.arange(self.n_docs, dtype=np.int32), np.diff(self.indptr))
-        doc_of = np.repeat(doc_of, self.counts)
-        word_of = np.repeat(self.indices.astype(np.int32), self.counts)
-        doc_of.flags.writeable = word_of.flags.writeable = False
-        return doc_of, word_of
 
 
 def load_manifest(path: Path | str) -> list[VolumeRecord]:

@@ -16,6 +16,7 @@ and names its own files, one per kind where there are kinds.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime as _dt
@@ -69,12 +70,33 @@ def _numeric_stack() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(path: Path, mode: str, **kwargs):
+    """``path`` opened for writing; an OSError is an InputError naming it."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path} (check run.out): {exc}") from exc
+
+
+def _write_digested(path: Path, pieces) -> str:
+    """Write the byte ``pieces`` to ``path`` in turn; their sha256."""
+    digest = hashlib.sha256()
+    with _writing(path, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece)
+            digest.update(piece)
+    return digest.hexdigest()
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _writing(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -151,17 +173,6 @@ def _array_json(vocab: Vocabulary, matrix: CorpusMatrix, key: str) -> bytes:
     return canonical_json_bytes(list(vocab.tokens) if key == "tokens" else getattr(matrix, key).tolist())
 
 
-def _fingerprint(pieces) -> str:
-    """SHA-256 of the canonical JSON object of the ``pieces``, (key, encoded
-    array) pairs in `_FINGERPRINTED` order; each is dropped once hashed."""
-    digest = hashlib.sha256()
-    for i, (key, piece) in enumerate(pieces):
-        digest.update((b"," if i else b"{") + canonical_json_bytes(key) + b":")
-        digest.update(piece)
-    digest.update(b"}")
-    return digest.hexdigest()
-
-
 def corpus_cached(out: Path) -> bool:
     return (out / "corpus.json").exists()
 
@@ -193,23 +204,21 @@ def save_cache(out: Path, records: list[VolumeRecord], vocab: Vocabulary, matrix
         + b',"vocabulary":{"frequencies":' + canonical_json_bytes(list(vocab.frequencies))
         + b',"tokens":',
     }
-    file_digest = hashlib.sha256()
-    with open(out / "corpus.json", "wb") as fh:
+    fingerprint = hashlib.sha256()  # of the canonical JSON object of the _FINGERPRINTED arrays
 
-        def written():
-            for key in _FINGERPRINTED:
-                piece = _array_json(vocab, matrix, key)
-                for chunk in (before[key], piece):
-                    fh.write(chunk)
-                    file_digest.update(chunk)
-                yield key, piece
+    def pieces():
+        for i, key in enumerate(_FINGERPRINTED):
+            piece = _array_json(vocab, matrix, key)
+            fingerprint.update((b"," if i else b"{") + canonical_json_bytes(key) + b":")
+            fingerprint.update(piece)
+            yield from (before[key], piece)
+        fingerprint.update(b"}")
+        yield b"}}"
 
-        fingerprint = _fingerprint(written())
-        fh.write(b"}}")
-        file_digest.update(b"}}")
+    corpus_sha256 = _write_digested(out / "corpus.json", pieces())
     write_json(
         out / "corpus.meta.json",
-        {"corpus_fingerprint": fingerprint, "corpus_sha256": file_digest.hexdigest()},
+        {"corpus_fingerprint": fingerprint.hexdigest(), "corpus_sha256": corpus_sha256},
     )
 
 
@@ -288,15 +297,11 @@ def save_model(kdir: Path, model: TopicModel, corpus_fingerprint: str) -> None:
         "params": dataclasses.asdict(model.params),
         "corpus_fingerprint": corpus_fingerprint,
     }
-    digest = hashlib.sha256()
-    with open(kdir / "model.bin", "wb") as fh:
-        for piece in (
-            canonical_json_bytes(header) + b"\n",
-            np.ascontiguousarray(model.theta, dtype=np.float64),
-            np.ascontiguousarray(model.phi, dtype=np.float64),
-        ):
-            fh.write(piece)
-            digest.update(piece)
+    model_sha256 = _write_digested(kdir / "model.bin", (
+        canonical_json_bytes(header) + b"\n",
+        np.ascontiguousarray(model.theta, dtype=np.float64),
+        np.ascontiguousarray(model.phi, dtype=np.float64),
+    ))
     write_json(
         kdir / "model.meta.json",
         {
@@ -305,7 +310,7 @@ def save_model(kdir: Path, model: TopicModel, corpus_fingerprint: str) -> None:
             "seed": model.params.seed,
             "iterations": model.params.iterations,
             "corpus_fingerprint": corpus_fingerprint,
-            "model_sha256": digest.hexdigest(),
+            "model_sha256": model_sha256,
             "sweep_kernel_flags": " ".join(kernel_flags()),
             **_numeric_stack(),
         },

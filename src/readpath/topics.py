@@ -9,25 +9,20 @@ positive and downstream KL divergences stay finite.
 Randomness comes from numpy's PCG64 stream seeded explicitly, and the
 per-sweep update order is fixed, so a (corpus, params) pair always
 produces the same model. Word-topic counts are stored word-major (V x k).
-The inner sweep is a small C function (``_gibbs.c``) compiled with the
-system C compiler on first use, cached per user and called through
-ctypes, which releases the GIL so chains for different k train in
-parallel. The C sweep computes the terms of a token four lanes at a time
-when the CPU has AVX2 (built with `-mavx2`) and two otherwise, and draws
-the topic by counting the running sums below the uniform, with no branch
-on the data. Tokens come grouped by (document, word), and for a token with
-the same pair as the one before, it recomputes only the two terms whose
-counts moved. It is the only sweep `train` runs: without a C compiler
-(`cc`) and without a cached build, `train` is an InputError. The
-reference sweep, which recomputes every term and scans linearly with the
-same arithmetic, lives in ``tests/test_topics.py`` as the test oracle;
-both widths give its bits.
+The inner sweep is a small C function (``_gibbs.c``, whose header says how
+it walks the corpus's sparse rows, reuses terms and draws, four lanes at a
+time when built with `-mavx2` for an AVX2 CPU and two otherwise), compiled
+with the system C compiler on first use, cached per user and called
+through ctypes, which releases the GIL so chains for different k train in
+parallel. It is the only sweep `train` runs: without a C compiler (`cc`)
+and without a cached build, `train` is an InputError. The reference sweep,
+the test oracle in ``tests/test_topics.py``, has its bits at both widths.
 
-Memory per token is flat. The token streams are int32, built once per
-`sweep_k` and shared read-only by its chains; z and every count array are
-int32 too, so a corpus of 2**31 or more tokens is an InputError. The
-initial topics and each sweep's uniforms are drawn `_CHUNK` tokens at a
-time, the kernel is called once per chunk, and chunked draws are the same
+Memory per token is flat: every chain reads the corpus's sparse rows in
+place, and z and every count array are int32, so a corpus of 2**31 or more
+tokens is an InputError. The initial topics and each sweep's uniforms are
+drawn `_CHUNK` tokens at a time, the kernel is called once per chunk with a
+cursor that carries its place in the rows, and chunked draws are the same
 numbers as one whole draw: the chunk size changes no bit of a model.
 `exports` writes and reads a model's artifact.
 """
@@ -54,8 +49,8 @@ from .errors import InputError
 ROW_SUM_TOL = 1e-9
 
 # Tokens per draw of the initial topics, per draw of a sweep's uniforms and
-# per kernel call: beyond the shared streams and z, a chain's per-token
-# arrays are one chunk long, whatever the corpus size.
+# per kernel call: beyond z, a chain's per-token arrays are one chunk long,
+# whatever the corpus size.
 _CHUNK = 1 << 18
 
 
@@ -127,21 +122,21 @@ def _build_kernel() -> Path:
 
 @functools.lru_cache(maxsize=None)
 def _load_kernel():
-    """The compiled sweep as a ctypes function. A kernel that cannot be
-    built or loaded is an InputError: `train` needs a C compiler (`cc`)
-    unless the cache already holds the library."""
+    """The compiled library, its ``gibbs_sweep`` and ``gibbs_counts`` typed
+    for ctypes. A kernel that cannot be built or loaded is an InputError:
+    `train` needs a C compiler (`cc`) unless the cache already holds it."""
     try:
-        fn = ctypes.CDLL(str(_build_kernel())).gibbs_sweep
+        lib = ctypes.CDLL(str(_build_kernel()))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = " ".join(str(getattr(exc, "stderr", "") or exc).split())
         raise InputError(
             f"the Gibbs sweep needs a C compiler (cc) to build {_C_SOURCE.name}: {detail}"
         ) from exc
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64] * 3 + [i32] * 6 + [ctypes.c_double] * 2 + [f64] * 3
-    return fn
+    i32, i64, f64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.int32, np.int64, np.float64))
+    lib.gibbs_sweep.restype = lib.gibbs_counts.restype = None
+    lib.gibbs_sweep.argtypes = [ctypes.c_int64] * 3 + [i64] * 4 + [i32] * 4 + [ctypes.c_double] * 2 + [f64] * 3
+    lib.gibbs_counts.argtypes = [ctypes.c_int64] * 2 + [i64] * 3 + [i32] * 4
+    return lib
 
 
 def sweep_kernel() -> str:
@@ -151,49 +146,32 @@ def sweep_kernel() -> str:
     return "c"
 
 
-def _token_streams(corpus: CorpusMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The corpus's read-only int32 (document, word) streams, after checking
-    that its tokens fit the sampler's int32 layout."""
-    if corpus.total_tokens >= 2**31:
-        raise InputError(
-            f"corpus has {corpus.total_tokens} tokens; the Gibbs sampler holds fewer than 2**31"
-        )
-    return corpus.token_streams()
-
-
-def _init_chain(rng, doc_of, word_of, k: int, d: int, v: int):
-    """Initial topics z, drawn chunk by chunk, and the int32 counts
-    (n_dk, n_kv, n_k) they imply. Each chunk is drawn as int64, the dtype
-    of the one whole draw these chunks reproduce, and stored into z; its
-    counts are one `np.bincount` of the flat row * k + topic index."""
-    n_tokens = doc_of.shape[0]
+def _init_chain(rng, corpus: CorpusMatrix, k: int):
+    """Initial topics z, drawn chunk by chunk as int64 (the dtype of the one
+    whole draw they reproduce), and the int32 counts (n_dk, n_kv, n_k) they
+    imply, from one walk of the sparse rows."""
+    n_tokens = corpus.total_tokens
     z = np.empty(n_tokens, dtype=np.int32)
-    n_dk = np.zeros(d * k, dtype=np.int32)
-    n_kv = np.zeros(v * k, dtype=np.int32)  # word-major: one token's counts are contiguous
     for start in range(0, n_tokens, _CHUNK):
         drawn = rng.integers(0, k, min(_CHUNK, n_tokens - start), dtype=np.int64)
-        stop = start + drawn.shape[0]
-        z[start:stop] = drawn
-        for counts, rows in ((n_dk, doc_of), (n_kv, word_of)):
-            flat = rows[start:stop].astype(np.int64)
-            flat *= k
-            flat += drawn
-            counts += np.bincount(flat, minlength=counts.shape[0])
-    n_dk, n_kv = n_dk.reshape(d, k), n_kv.reshape(v, k)
-    return z, n_dk, n_kv, n_dk.sum(axis=0, dtype=np.int32)
+        z[start:start + drawn.shape[0]] = drawn
+    n_dk, n_kv, n_k = (np.zeros(shape, dtype=np.int32) for shape in ((corpus.n_docs, k), (corpus.n_vocab, k), k))
+    _load_kernel().gibbs_counts(corpus.n_docs, k, corpus.indptr, corpus.indices, corpus.counts,
+                                z, n_dk, n_kv, n_k)
+    return z, n_dk, n_kv, n_k
 
 
-def _sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, cum, term) -> None:
+def _sweep(rng, corpus: CorpusMatrix, z, n_dk, n_kv, n_k, alpha, beta) -> None:
     """One sweep in token order: the uniforms are drawn and the kernel is
     called one chunk at a time, the same draws as one uniform per token."""
-    kernel = _load_kernel()
+    kernel = _load_kernel().gibbs_sweep
     n_tokens = z.shape[0]
     v, k = n_kv.shape
+    cursor, cum, term = np.zeros(3, dtype=np.int64), np.empty(k), np.empty(k)
     for start in range(0, n_tokens, _CHUNK):
         u = rng.random(min(_CHUNK, n_tokens - start))
-        stop = start + u.shape[0]
-        kernel(u.shape[0], k, v, doc_of[start:stop], word_of[start:stop], z[start:stop],
-               n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+        kernel(u.shape[0], k, v, corpus.indptr, corpus.indices, corpus.counts, cursor,
+               z[start:start + u.shape[0]], n_dk, n_kv, n_k, alpha, beta, u, cum, term)
 
 
 @dataclass(frozen=True)
@@ -243,14 +221,13 @@ class TopicModel:
         return self.theta.shape[1]
 
 
-def train(corpus: CorpusMatrix, params: TopicModelParams, streams=None) -> TopicModel:
-    """Fit a model; deterministic for a fixed (corpus, params) pair.
-    ``streams`` are the corpus's token streams when the caller shares one
-    copy between chains (`sweep_k`); by default `train` builds its own."""
+def train(corpus: CorpusMatrix, params: TopicModelParams) -> TopicModel:
+    """Fit a model; deterministic for a fixed (corpus, params) pair."""
     if corpus.n_docs == 0:
         raise InputError("cannot train on an empty corpus")
-    doc_of, word_of = _token_streams(corpus) if streams is None else streams
-    n_tokens = doc_of.shape[0]
+    n_tokens = corpus.total_tokens
+    if n_tokens >= 2**31:
+        raise InputError(f"corpus has {n_tokens} tokens; the Gibbs sampler holds fewer than 2**31")
     if params.k > n_tokens:
         raise InputError(f"k={params.k} exceeds the total token count {n_tokens}")
 
@@ -258,16 +235,14 @@ def train(corpus: CorpusMatrix, params: TopicModelParams, streams=None) -> Topic
     alpha, beta = float(params.resolved_alpha), float(params.beta)
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    z, n_dk, n_kv, n_k = _init_chain(rng, doc_of, word_of, k, d, v)
+    z, n_dk, n_kv, n_k = _init_chain(rng, corpus, k)
     n_doc = n_dk.sum(axis=1)
-    cum = np.empty(k, dtype=np.float64)
-    term = np.empty(k, dtype=np.float64)
 
     theta_acc = np.zeros((d, k), dtype=np.float64)
     phi_acc = np.zeros((k, v), dtype=np.float64)
     first_kept = params.iterations - params.average_last
     for sweep in range(params.iterations):
-        _sweep(rng, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, cum, term)
+        _sweep(rng, corpus, z, n_dk, n_kv, n_k, alpha, beta)
         if sweep >= first_kept:
             theta_acc += (n_dk + alpha) / (n_doc[:, None] + k * alpha)
             phi_acc += (n_kv.T + beta) / (n_k[:, None] + v * beta)
@@ -285,11 +260,10 @@ def sweep_k(
 ) -> list[TopicModel]:
     """Train one independent model per k; model i is seeded base seed + i.
 
-    Models are independent chains, so they may train concurrently. They
-    share one read-only copy of the token streams, freed on return. A
-    chain costs about k per token, so the pool starts the largest k first
-    and the short chains fill in behind; the returned list always follows
-    ``k_list`` order.
+    Models are independent chains, so they may train concurrently, each
+    reading the corpus's sparse rows in place. A chain costs about k per
+    token, so the pool starts the largest k first and the short chains fill
+    in behind; the returned list always follows ``k_list`` order.
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
@@ -297,14 +271,13 @@ def sweep_k(
         dataclasses.replace(base_params, k=k_i, seed=base_params.seed + i)
         for i, k_i in enumerate(k_list)
     ]
-    streams = _token_streams(corpus)
     if threads > 1 and len(all_params) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
-                p: pool.submit(train, corpus, p, streams)
+                p: pool.submit(train, corpus, p)
                 for p in sorted(all_params, key=lambda p: p.k, reverse=True)
             }
             return [futures[p].result() for p in all_params]
-    return [train(corpus, p, streams) for p in all_params]
+    return [train(corpus, p) for p in all_params]

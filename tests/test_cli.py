@@ -203,6 +203,24 @@ class TestRun:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
         assert "run.out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("before", "command", "export"),
+        [
+            ((), "ingest", "corpus.json"),
+            (("ingest",), "train", "k2/model.bin"),
+            (("ingest", "train"), "surprise", "k2/series_t2t.csv"),
+        ],
+    )
+    def test_directory_in_the_way_of_an_export_exit_1_names_it(self, tmp_path, capsys, before, command, export):
+        cfg = build_demo(tmp_path)
+        for cmd in before:
+            assert main([cmd, "--config", str(cfg)]) == 0
+        (tmp_path / "out" / export).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "out" / export) in err and "run.out" in err
+
 
 class TestWithoutCompiler:
     """Only `train` and `run` load the compiled sweep; without `cc` and

@@ -1,9 +1,13 @@
 """The library's public surface: README's example runs, its configuration
-block loads to the stage defaults, every exported name resolves, and no
-module imports a name it never uses."""
+block loads to the stage defaults, every exported name resolves, no
+module imports a name it never uses, and the benchmark scripts run."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import readpath
@@ -68,3 +72,23 @@ def test_readme_configuration_loads_to_the_stage_defaults_and_names_every_key(tm
         elif key := re.match(r";?\s*(\w+)\s*=", line):
             named.add((section, key[1]))
     assert named == set(config._SCHEMA)
+
+
+def test_bench_scripts_run_and_print_a_json_line_last():
+    """Each script runs on a tiny input as a child process, so a script that
+    uses a name the library no longer has fails here."""
+    pythonpath = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+    def last_json(script: str, *args: str) -> dict:
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    sweep = last_json("bench_sweep.py", "--zipf", "6,200,40", "--k-list", "2,3", "--sweeps", "2",
+                      "--last-sweep-stats")
+    assert sweep["tokens"] == 1200 and 0 < sweep["repeat_fraction"] < 1
+    assert set(sweep["last_sweep_prev_eq_old"]) == {"2", "3"}
+    null = last_json("bench_null.py", "--docs", "40", "--k", "4", "--samples", "8", "--repeats", "1")
+    assert null["docs"] == 40 and len(null["outputs_sha256"]) == 64

@@ -1,4 +1,5 @@
 import threading
+import types
 from collections import Counter
 
 import numpy as np
@@ -78,10 +79,36 @@ def _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum):
         n_k[new] += 1
 
 
-def _python_kernel(n_tokens, k, v, doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum, term):
-    """`_gibbs_sweep` behind the compiled kernel's ctypes signature, so a
-    test swaps it in with `monkeypatch.setattr(topics, "_load_kernel", ...)`."""
-    _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
+def _tokens(indptr, indices, tally):
+    """The document and the word of every token of the sparse rows, in the
+    order the compiled sweep walks them."""
+    doc_of = np.repeat(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), tally)
+    return doc_of, np.repeat(indices, tally)
+
+
+def _python_sweep(n_tokens, k, v, indptr, indices, tally, cursor, z, n_dk, n_kv, n_k,
+                  alpha, beta, u, cum, term):
+    """`_gibbs_sweep` behind the compiled sweep's ctypes signature, over the
+    expanded tokens. It keeps its place in the cursor's entry and offset."""
+    doc_of, word_of = _tokens(indptr, indices, tally)
+    starts = np.concatenate([[0], np.cumsum(tally)])  # entry e begins at token starts[e]
+    start = starts[cursor[1]] + cursor[2]
+    stop = start + n_tokens
+    _gibbs_sweep(doc_of[start:stop], word_of[start:stop], z, n_dk, n_kv, n_k, alpha, beta, u, cum)
+    cursor[1] = np.searchsorted(starts, stop, side="right") - 1
+    cursor[2] = stop - starts[cursor[1]]
+
+
+def _python_counts(n_docs, k, indptr, indices, tally, z, n_dk, n_kv, n_k):
+    doc_of, word_of = _tokens(indptr, indices, tally)
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kv, (word_of, z), 1)
+    np.add.at(n_k, z, 1)
+
+
+# The compiled library's two functions in Python, so a test swaps them in
+# with `monkeypatch.setattr(topics, "_load_kernel", lambda: PYTHON_KERNEL)`.
+PYTHON_KERNEL = types.SimpleNamespace(gibbs_sweep=_python_sweep, gibbs_counts=_python_counts)
 
 
 class TestTrain:
@@ -118,6 +145,15 @@ class TestTrain:
         m_avg = train(matrix, avg)
         assert np.abs(m_avg.theta.sum(axis=1) - 1.0).max() < 1e-9
         assert not np.array_equal(m_avg.theta, train(matrix, PARAMS).theta)
+
+    def test_strided_rows_train_to_the_bits_of_copies(self, rng):
+        matrix, _ = planted_two_topic_corpus(rng, n_docs=10, tokens_per_doc=50)
+        rows = [np.repeat(a, 2)[::2] for a in (matrix.indptr, matrix.indices, matrix.counts)]
+        assert not any(a.flags.c_contiguous for a in rows)
+        strided = CorpusMatrix(*rows, n_vocab=matrix.n_vocab)
+        assert all(a.flags.c_contiguous for a in (strided.indptr, strided.indices, strided.counts))
+        a, b = train(strided, PARAMS), train(matrix, PARAMS)
+        assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
 
     def test_empty_corpus_rejected(self):
         empty = CorpusMatrix(np.array([0]), np.array([], dtype=int), np.array([], dtype=int), 5)
@@ -171,7 +207,7 @@ class TestCompiledSweep:
             TopicModelParams(k=17, alpha=0.05, iterations=20, seed=4, average_last=20),
         ]
         compiled = [train(matrix, p) for p in cases]
-        monkeypatch.setattr(topics, "_load_kernel", lambda: _python_kernel)
+        monkeypatch.setattr(topics, "_load_kernel", lambda: PYTHON_KERNEL)
         for p, fast in zip(cases, compiled):
             slow = train(matrix, p)
             assert np.array_equal(fast.theta, slow.theta), p
@@ -184,7 +220,7 @@ class TestCompiledSweep:
         cases = [TopicModelParams(k=k, iterations=4, seed=k) for k in (2, 3, 4, 5, 7, 8, 9, 17, 80, 81)]
         compiled = [train(matrix, p) for p in cases]
         with monkeypatch.context() as m:
-            m.setattr(topics, "_load_kernel", lambda: _python_kernel)
+            m.setattr(topics, "_load_kernel", lambda: PYTHON_KERNEL)
             for p, fast in zip(cases, compiled):
                 slow = train(matrix, p)
                 assert np.array_equal(fast.theta, slow.theta), p
@@ -227,70 +263,93 @@ class TestCompiledSweep:
 _LAST_U = float(np.nextafter(1.0, 0.0))
 
 
-def _sweep_case(k, pairs, z, us):
-    """(k, D, V, doc_of, word_of, z, [u per sweep]) with int32/float64 arrays."""
-    doc_of = np.array([d for d, _ in pairs], dtype=np.int32)
-    word_of = np.array([w for _, w in pairs], dtype=np.int32)
-    return (k, int(doc_of.max()) + 1, int(word_of.max()) + 1, doc_of, word_of,
-            np.array(z, dtype=np.int32), [np.array(u, dtype=np.float64) for u in us])
+def _sweep_case(k, docs, z, us, cuts=()):
+    """(k, corpus, z, [u per sweep], cuts) from documents given as lists of
+    (word, count) entries; each sweep calls the kernel once per chunk
+    between the cut points."""
+    indptr = np.cumsum([0] + [len(doc) for doc in docs])
+    entries = [entry for doc in docs for entry in doc]
+    matrix = CorpusMatrix(indptr, np.array([w for w, _ in entries], dtype=np.int64),
+                          np.array([c for _, c in entries], dtype=np.int64),
+                          n_vocab=max(w for w, _ in entries) + 1)
+    return (k, matrix, np.array(z, dtype=np.int32), [np.array(u, dtype=np.float64) for u in us],
+            sorted(cuts))
 
 
 @st.composite
 def sweep_cases(draw):
-    """Token streams made of runs of one (document, word) pair, so repeats
-    are common; runs of length 1 give one-token documents and pairs that
-    change at every token."""
+    """Small sparse corpora: documents of 0 to 4 entries (an empty one may
+    come first, in the middle or last), each entry 1 to 25 tokens of one
+    word, so repeats are common and entries of 1 token change the pair at
+    every token. Each sweep is cut into chunks at up to 4 random tokens."""
     k = draw(st.integers(2, 40))
-    runs = draw(st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 25)), min_size=1, max_size=10
-    ))
-    pairs = [(d, w) for d, w, n in runs for _ in range(n)]
-    z = draw(st.lists(st.integers(0, k - 1), min_size=len(pairs), max_size=len(pairs)))
+    docs = draw(st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(1, 25), max_size=4), min_size=1, max_size=6
+    ).filter(any))
+    docs = [sorted(doc.items()) for doc in docs]
+    n = sum(c for doc in docs for _, c in doc)
+    z = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     u_value = st.sampled_from([0.0, 0.5, _LAST_U]) | st.floats(0.0, 1.0, exclude_max=True)
-    us = draw(st.lists(
-        st.lists(u_value, min_size=len(pairs), max_size=len(pairs)), min_size=1, max_size=4
-    ))
-    return _sweep_case(k, pairs, z, us)
+    us = draw(st.lists(st.lists(u_value, min_size=n, max_size=n), min_size=1, max_size=4))
+    cuts = draw(st.sets(st.integers(1, n), max_size=4)) - {n}
+    return _sweep_case(k, docs, z, us, cuts)
+
+
+# The sparse rows (indptr, indices, tally) of one token: document 0, word 0.
+_ONE_TOKEN = tuple(np.array(a, dtype=np.int64) for a in ([0, 1], [0], [1]))
 
 
 class TestSweepReuse:
-    """The compiled sweep reuses its terms across a run of one (document,
-    word) pair and draws by counting the running sums below r, several
-    lanes at a time; the pure-Python sweep recomputes every term and scans.
-    Both must leave the same state after every sweep."""
+    """The compiled sweep walks the sparse rows, reuses its terms within an
+    entry and draws by counting the running sums below r, several lanes at
+    a time; the pure-Python sweep recomputes every term of the expanded
+    tokens and scans. Both must leave the same state after every sweep,
+    wherever the chunks are cut."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=sweep_cases())
     # prev == old: token 0 takes topic 0 (u = 0) and token 1 gives back 0.
-    @example(case=_sweep_case(5, [(0, 0)] * 3, [0, 0, 0], [[0.0] * 3] * 2))
+    @example(case=_sweep_case(5, [[(0, 3)]], [0, 0, 0], [[0.0] * 3] * 2))
     # lo == 0: token 0 takes topic 0, token 1 gives back topic 4.
-    @example(case=_sweep_case(5, [(0, 0)] * 3, [4, 4, 4], [[0.0, 0.3, 0.6]] * 2))
+    @example(case=_sweep_case(5, [[(0, 3)]], [4, 4, 4], [[0.0, 0.3, 0.6]] * 2))
     # prev == old == k-1, the only way min(prev, old) reaches k-1.
-    @example(case=_sweep_case(5, [(0, 0)] * 3, [4, 4, 4], [[_LAST_U] * 3] * 2))
+    @example(case=_sweep_case(5, [[(0, 3)]], [4, 4, 4], [[_LAST_U] * 3] * 2))
     # lo == k-2: token 0 takes k-1, token 1 gives back k-2; only the last
     # two sums are redone.
-    @example(case=_sweep_case(5, [(0, 0)] * 3, [0, 3, 3], [[_LAST_U, 0.5, 0.5]] * 2))
+    @example(case=_sweep_case(5, [[(0, 3)]], [0, 3, 3], [[_LAST_U, 0.5, 0.5]] * 2))
     # A tie: both terms equal, so r = 0.5 * 2x = cum[0] and the draw is 0.
-    @example(case=_sweep_case(2, [(0, 0)] * 3, [0, 0, 1], [[0.5, 0.5, 0.5]]))
+    @example(case=_sweep_case(2, [[(0, 3)]], [0, 0, 1], [[0.5, 0.5, 0.5]]))
     # A tie inside the lanes: token 0 gives back topic 0 and sees the terms
     # (1 + a)(1 + b)/(1 + b), then a sixteen times; this u makes r = cum[4]
     # exactly, so the draw is 4 (5 for a count of cum[j] <= r).
-    @example(case=_sweep_case(17, [(0, 0)] * 2, [0, 0], [[0.30795847750865063, 0.5]]))
+    @example(case=_sweep_case(17, [[(0, 2)]], [0, 0], [[0.30795847750865063, 0.5]]))
+    # Empty first, middle and last documents, entries of 1 token, and one
+    # entry of 300 tokens cut into three chunks.
+    @example(case=_sweep_case(
+        6, [[], [(0, 1), (3, 1)], [], [(1, 1), (2, 300)], []], [j % 6 for j in range(303)],
+        [[(j * 0.37) % 1 for j in range(303)]] * 2, cuts=[2, 100, 250],
+    ))
     def test_same_state_as_python_sweep(self, case):
         assert sweep_kernel() == "c"
         kernel = topics._load_kernel()
-        k, n_docs, n_vocab, doc_of, word_of, z0, us = case
-        z = z0.copy()
-        n_dk = np.zeros((n_docs, k), dtype=np.int32)
-        n_kv = np.zeros((n_vocab, k), dtype=np.int32)
-        np.add.at(n_dk, (doc_of, z), 1)
-        np.add.at(n_kv, (word_of, z), 1)
-        n_k = np.bincount(z, minlength=k).astype(np.int32)
-        fast = [z, n_dk, n_kv, n_k]
-        slow = [a.copy() for a in fast]
+        k, matrix, z0, us, cuts = case
+        rows = (matrix.indptr, matrix.indices, matrix.counts)
+        fast, slow = ([z0.copy(), np.zeros((matrix.n_docs, k), dtype=np.int32),
+                       np.zeros((matrix.n_vocab, k), dtype=np.int32), np.zeros(k, dtype=np.int32)]
+                      for _ in range(2))
+        kernel.gibbs_counts(matrix.n_docs, k, *rows, *fast)
+        _python_counts(matrix.n_docs, k, *rows, *slow)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+        doc_of, word_of = _tokens(*rows)
+        bounds = [0, *cuts, len(z0)]
         alpha, beta = 50.0 / k, 0.01
         for u in us:
-            kernel(len(z), k, n_vocab, doc_of, word_of, *fast, alpha, beta, u, np.empty(k), np.empty(k))
+            cursor = np.zeros(3, dtype=np.int64)
+            for a, b in zip(bounds, bounds[1:]):  # each call starts from NaN sums and terms
+                kernel.gibbs_sweep(b - a, k, matrix.n_vocab, *rows, cursor, fast[0][a:b], *fast[1:],
+                                   alpha, beta, u[a:b], np.full(k, np.nan), np.full(k, np.nan))
+            assert cursor[1:].tolist() == [len(matrix.indices), 0]
             _gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
@@ -299,7 +358,7 @@ class TestSweepReuse:
     def _plateau_state():
         """z, n_dk, n_kv, n_k for one token (document 0, word 0, topic 0;
         V = 1) whose term 6 is too small to move the running sum, so
-        cum[5] == cum[6]. No token stream of test size reaches such counts:
+        cum[5] == cum[6]. No corpus of test size reaches such counts:
         the term must be below half an ulp of the sum before it."""
         rows = np.array([[2, 1, 1, 1, 1, 10**5, 0, 10**5, 1]], dtype=np.int32)
         n_k = np.array([2, 1, 1, 1, 1, 10**5, 2 * 10**9, 10**5, 1], dtype=np.int32)
@@ -307,7 +366,7 @@ class TestSweepReuse:
 
     @pytest.mark.parametrize("on_plateau", [False, True], ids=["r-above", "r-on-plateau"])
     def test_plateau_same_draw_as_python_sweep(self, sweep_width, on_plateau):
-        kernel = topics._load_kernel()
+        kernel = topics._load_kernel().gibbs_sweep
         k, alpha, beta = 9, 0.01, 0.01
         token = np.zeros(1, dtype=np.int32)
         cum = np.empty(k)
@@ -318,7 +377,8 @@ class TestSweepReuse:
         u = 0.5000100996929693 if on_plateau else 0.6
         assert (u * cum[8] == cum[5]) == on_plateau and u * cum[8] < cum[7]
         fast, slow = self._plateau_state(), self._plateau_state()
-        kernel(1, k, 1, token, token, *fast, alpha, beta, np.array([u]), np.empty(k), np.empty(k))
+        kernel(1, k, 1, *_ONE_TOKEN, np.zeros(3, dtype=np.int64), *fast, alpha, beta, np.array([u]),
+               np.empty(k), np.empty(k))
         _gibbs_sweep(token, token, *slow, alpha, beta, np.array([u]), np.empty(k))
         assert fast[0][0] == (5 if on_plateau else 7)
         for a, b in zip(fast, slow):
@@ -329,21 +389,22 @@ class TestSweepReuse:
         """`_sweep` passes u < 1, which keeps r <= cum[k-1]. Beyond that the
         count below k-1 still keeps the draw, and so every count it writes,
         in the token's rows: each count array has a guard slot past row 0."""
-        kernel = topics._load_kernel()
+        kernel = topics._load_kernel().gibbs_sweep
         k = 9
         guarded = [np.zeros(k + 1, dtype=np.int32) for _ in range(3)]
         for counts in guarded:
             counts[0] = 1
-        z, token = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32)
+        z = np.zeros(1, dtype=np.int32)
         rows = [counts[:k] for counts in guarded]
-        kernel(1, k, 1, token, token, z, *rows, 0.5, 0.01, np.array([u]), np.empty(k), np.empty(k))
+        kernel(1, k, 1, *_ONE_TOKEN, np.zeros(3, dtype=np.int64), z, *rows, 0.5, 0.01, np.array([u]),
+               np.empty(k), np.empty(k))
         assert z[0] == k - 1
         assert [counts[k] for counts in guarded] == [0, 0, 0]
 
 
 def _straddling_corpus() -> CorpusMatrix:
-    """Runs of one (document, word) pair of 1 to 17 tokens, so that with
-    7-token chunks many chunk boundaries fall inside a run."""
+    """Entries of 1 to 17 tokens, so that with 7-token chunks many chunk
+    boundaries fall inside an entry."""
     docs = [[w for w, n in enumerate(counts) for _ in range(n)]
             for counts in ([9, 1, 17, 4], [3, 11, 2, 8, 1], [16, 5, 6], [1, 1, 13, 7, 9])]
     return matrix_from_docs(docs, 5)
@@ -362,14 +423,13 @@ class TestChunks:
     def test_chunk_of_7_same_model_as_default_and_python_sweep(self, monkeypatch):
         matrix = _straddling_corpus()
         assert matrix.total_tokens < topics._CHUNK
-        doc_of, word_of = matrix.token_streams()
-        inside = [b for b in range(7, len(doc_of), 7)
-                  if doc_of[b] == doc_of[b - 1] and word_of[b] == word_of[b - 1]]
-        assert len(inside) >= 8  # boundaries that split a run of one pair
+        entry_starts = set(np.cumsum(matrix.counts).tolist())
+        inside = [b for b in range(7, matrix.total_tokens, 7) if b not in entry_starts]
+        assert len(inside) >= 8  # boundaries that split an entry
         default = [train(matrix, p) for p in self.CASES]
         monkeypatch.setattr(topics, "_CHUNK", 7)
         variants = [[train(matrix, p) for p in self.CASES]]
-        monkeypatch.setattr(topics, "_load_kernel", lambda: _python_kernel)
+        monkeypatch.setattr(topics, "_load_kernel", lambda: PYTHON_KERNEL)
         variants.append([train(matrix, p) for p in self.CASES])
         for models in variants:
             for p, a, b in zip(self.CASES, default, models):
@@ -380,19 +440,21 @@ class TestChunks:
     @pytest.mark.parametrize("k", [2, 3, 17, 80, 500])
     def test_chunked_draws_equal_one_draw(self, monkeypatch, k, chunk):
         n, n_docs, n_vocab = 20_011, 50, 300
-        doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), n // n_docs + 1)[:n]
-        word_of = np.random.default_rng(k).integers(0, n_vocab, n).astype(np.int32)
+        words = np.random.default_rng(k).integers(0, n_vocab, n)
+        matrix = matrix_from_docs(np.array_split(words, n_docs), n_vocab)
+        doc_of, word_of = _tokens(matrix.indptr, matrix.indices, matrix.counts)
         one = np.random.Generator(np.random.PCG64(9))
         z_ref = one.integers(0, k, n, dtype=np.int64)
         u_ref = one.random(n)
 
         monkeypatch.setattr(topics, "_CHUNK", chunk)
         drawn_u = []
-        monkeypatch.setattr(topics, "_load_kernel",
-                            lambda: lambda *args: drawn_u.append(args[11].copy()))
+        recording = types.SimpleNamespace(gibbs_counts=topics._load_kernel().gibbs_counts,
+                                          gibbs_sweep=lambda *args: drawn_u.append(args[13].copy()))
+        monkeypatch.setattr(topics, "_load_kernel", lambda: recording)
         chunked = np.random.Generator(np.random.PCG64(9))
-        z, n_dk, n_kv, n_k = topics._init_chain(chunked, doc_of, word_of, k, n_docs, n_vocab)
-        topics._sweep(chunked, doc_of, word_of, z, n_dk, n_kv, n_k, 1.0, 0.01, None, None)
+        z, n_dk, n_kv, n_k = topics._init_chain(chunked, matrix, k)
+        topics._sweep(chunked, matrix, z, n_dk, n_kv, n_k, 1.0, 0.01)
 
         assert np.array_equal(z, z_ref) and z.dtype == np.int32
         assert np.array_equal(np.concatenate(drawn_u), u_ref)
@@ -406,33 +468,17 @@ class TestChunks:
             assert got.dtype == np.int32 and got.flags.c_contiguous
             assert np.array_equal(got, ref)
 
-    def test_corpus_of_2_31_tokens_rejected_before_any_stream(self, monkeypatch):
+    def test_corpus_of_2_31_tokens_rejected_before_init_chain(self, monkeypatch):
         huge = CorpusMatrix(np.array([0, 1]), np.array([0]), np.array([2**31]), n_vocab=1)
 
-        def no_streams(self):
-            raise AssertionError("token streams built for a corpus over the int32 limit")
+        def no_chain(*args):
+            raise AssertionError("a chain started on a corpus over the int32 limit")
 
-        monkeypatch.setattr(CorpusMatrix, "token_streams", no_streams)
+        monkeypatch.setattr(topics, "_init_chain", no_chain)
         with pytest.raises(InputError, match="2\\*\\*31"):
             train(huge, PARAMS)
         with pytest.raises(InputError, match="2\\*\\*31"):
             sweep_k(huge, [2, 3], PARAMS, threads=2)
-
-    def test_sweep_k_builds_read_only_streams_once(self, rng, monkeypatch):
-        matrix, _ = planted_two_topic_corpus(rng, n_docs=8, tokens_per_doc=40)
-        built = []
-        token_streams = CorpusMatrix.token_streams
-
-        def counted(self):
-            streams = token_streams(self)
-            built.append(streams)
-            return streams
-
-        monkeypatch.setattr(CorpusMatrix, "token_streams", counted)
-        sweep_k(matrix, [2, 3, 4], PARAMS, threads=2)
-        assert len(built) == 1
-        for a in built[0]:
-            assert a.dtype == np.int32 and not a.flags.writeable
 
 
 class TestSweepK:
@@ -463,11 +509,11 @@ class TestSweepK:
         started = []
         first_two = threading.Barrier(2, timeout=30)
 
-        def recording_train(corpus, params, streams=None):
+        def recording_train(corpus, params):
             started.append(params.k)
             if len(started) <= 2:  # neither worker finishes before both have begun
                 first_two.wait()
-            return train(corpus, params, streams)
+            return train(corpus, params)
 
         monkeypatch.setattr(topics, "train", recording_train)
         threaded = sweep_k(matrix, [3, 2, 4], PARAMS, threads=2)
