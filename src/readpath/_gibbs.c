@@ -5,8 +5,8 @@
  * the test oracle for this sweep: build with -ffp-contract=off so no
  * multiply-add is fused. The sweep walks the corpus's sparse rows in place,
  * entry by entry (entry e, for indptr[d] <= e < indptr[d+1], is tally[e]
- * tokens of word indices[e] in document d), so a token's rows stay put within
- * its entry: about 10% faster than finding them per token. The caller may
+ * tokens of word indices[e] in document d), so a token's count rows are found
+ * once per entry, not once per token. The caller may
  * pass the tokens in chunks, one call each: the cursor (d, e, o) carries the
  * walk between calls, starting at {0, 0, 0} (entry e at offset o is next, and
  * d is at or before e's document). The rows are int64; z and the count arrays
