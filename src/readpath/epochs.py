@@ -126,7 +126,7 @@ def check_breaks(breaks, length: int) -> list[int]:
     return breaks
 
 
-def segment_loglik(series, breaks, *, variance_floor: float = VARIANCE_FLOOR) -> float:
+def segment_loglik(series, breaks) -> float:
     """Profiled Gaussian log-likelihood of a given segmentation."""
     x = _series_values(series)
     if len(x) == 0:
@@ -135,7 +135,7 @@ def segment_loglik(series, breaks, *, variance_floor: float = VARIANCE_FLOOR) ->
     for s, e in zip(breaks, breaks[1:] + [len(x)]):
         if e - s < 2:
             raise ValueError(f"segment [{s}, {e}) shorter than 2 positions")
-    return _model(x, breaks, variance_floor).log_likelihood
+    return _model(x, breaks).log_likelihood
 
 
 def epoch_mean_relative(series, null_mean_per_position, breaks) -> np.ndarray:
@@ -315,14 +315,14 @@ def _ml_breaks(score, best: np.ndarray, n: int) -> list[int]:
     return breaks
 
 
-def _model(x: np.ndarray, breaks: list[int], variance_floor: float = VARIANCE_FLOOR) -> EpochModel:
+def _model(x: np.ndarray, breaks: list[int]) -> EpochModel:
     """The model of x split at ``breaks``: each segment's mean and
     maximum-likelihood variance, and their profiled log-likelihood summed
     in segment order."""
     means, variances, ll = [], [], 0.0
     for s, e in zip(breaks, breaks[1:] + [len(x)]):
         mu = x[s:e].mean()
-        var = max(float(np.mean((x[s:e] - mu) ** 2)), variance_floor)
+        var = max(float(np.mean((x[s:e] - mu) ** 2)), VARIANCE_FLOOR)
         means.append(float(mu))
         variances.append(var)
         ll += -((e - s) / 2.0) * (1.0 + math.log(2.0 * math.pi * var))
@@ -362,7 +362,7 @@ def fit(series, n: int, config: EpochSearchConfig, dates: list[date] | None = No
     return _model(x, _ml_breaks(score, _suffix_dp(score, min_len, n, _row_max), n))
 
 
-def evidence_prior(series, config: EpochSearchConfig) -> dict:
+def evidence_prior(series) -> dict:
     """Empirical-Bayes Normal-Inverse-Gamma prior used by `select_n`."""
     x = _series_values(series)
     if len(x) == 0:
@@ -429,7 +429,7 @@ def select_n(
     score = _loglik_scorer(x, min_len)
     best = _suffix_dp(score, min_len, config.n_max, _row_max)
     models = [_model(x, _ml_breaks(score, best, n)) for n in range(1, config.n_max + 1)]
-    prior = evidence_prior(x, config)
+    prior = evidence_prior(x)
     log_total = _suffix_dp(_evidence_scorer(x, min_len, prior), min_len, config.n_max, _row_logsumexp)
     evidence = log_total[1:, 0] - log_placements
     chosen = int(np.argmax(evidence))

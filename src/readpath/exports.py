@@ -27,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +73,19 @@ def _numeric_stack() -> dict:
 
 @contextlib.contextmanager
 def _writing(path: Path, mode: str, **kwargs):
-    """``path`` opened for writing; an OSError is an InputError naming it."""
+    """A file for ``path``, written under a temporary name in its directory
+    and renamed into place, so a failed write leaves the old file whole and
+    no temporary. An OSError is an InputError naming ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(path, mode, **kwargs) as fh:
+        with open(tmp, mode, **kwargs) as fh:
             yield fh
+        os.replace(tmp, path)
     except OSError as exc:
         raise InputError(f"cannot write {path} (check run.out): {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # still there only if the write failed
 
 
 def _write_digested(path: Path, pieces) -> str:

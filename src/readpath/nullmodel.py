@@ -97,9 +97,9 @@ class ConstrainedPermutationSampler:
                 f"{self.available_by_slot[t]} feasible titles for {t + 1} slots"
             )
 
-    def sample_batch(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
-        """Draw ``count`` independent permutations, row i from the uniforms
-        of ``rngs[i]``. One Generator repeated, ``[rng] * count``, fills the
+    def sample_batch(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Draw one permutation per generator, row i from the uniforms of
+        ``rngs[i]``. One Generator repeated, ``[rng] * count``, fills the
         rows from its uniforms in turn.
 
         Every row is filled slot by slot in lockstep: at slot t each row's
@@ -108,8 +108,7 @@ class ConstrainedPermutationSampler:
         arrivals to every pool, picks ``pool[int(u * size)]`` in each row
         and swap-removes the pick.
         """
-        if len(rngs) != count:
-            raise ValueError(f"need one generator per sample: {len(rngs)} for {count}")
+        count = len(rngs)
         # The result is allocated first, below the temporaries in the heap,
         # so that they can be given back to the system when freed.
         out = np.empty((count, self.n), dtype=np.int64)
@@ -132,7 +131,7 @@ class ConstrainedPermutationSampler:
         return out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch([rng], 1)[0]
+        return self.sample_batch([rng])[0]
 
     def check(self, perm: np.ndarray) -> None:
         if np.any(self.pub_years[perm] > self.slot_years):
@@ -149,7 +148,7 @@ def null_permutations(records, config: NullConfig) -> np.ndarray:
     so a rerun regenerates exactly the same orders."""
     sampler = ConstrainedPermutationSampler(records)
     rngs = [_sample_rng(config.seed, j) for j in range(config.samples)]
-    out = sampler.sample_batch(rngs, config.samples)
+    out = sampler.sample_batch(rngs)
     sampler.check(out)
     return out
 

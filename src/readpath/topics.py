@@ -19,11 +19,11 @@ and without a cached build, `train` is an InputError. The reference sweep,
 the test oracle in ``tests/test_topics.py``, has its bits at both widths.
 
 Memory per token is flat: every chain reads the corpus's sparse rows in
-place, and z and every count array are int32, so a corpus of 2**31 or more
-tokens is an InputError. The initial topics and each sweep's uniforms are
-drawn `_CHUNK` tokens at a time, the kernel is called once per chunk with a
-cursor that carries its place in the rows, and chunked draws are the same
-numbers as one whole draw: the chunk size changes no bit of a model.
+place, and z, the only per-token array, and every count array are int32,
+so a corpus of 2**31 or more tokens is an InputError. Each sweep is one
+kernel call, which draws every token's uniform from the chain's own numpy
+bit generator through its documented ctypes interface: the numbers
+`rng.random` would give, with no array of uniforms in Python.
 `exports` writes and reads a model's artifact.
 """
 
@@ -47,11 +47,6 @@ from .corpus import CorpusMatrix
 from .errors import InputError
 
 ROW_SUM_TOL = 1e-9
-
-# Tokens per draw of the initial topics, per draw of a sweep's uniforms and
-# per kernel call: beyond z, a chain's per-token arrays are one chunk long,
-# whatever the corpus size.
-_CHUNK = 1 << 18
 
 
 _C_SOURCE = Path(__file__).with_name("_gibbs.c")
@@ -133,8 +128,10 @@ def _load_kernel():
             f"the Gibbs sweep needs a C compiler (cc) to build {_C_SOURCE.name}: {detail}"
         ) from exc
     i32, i64, f64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.int32, np.int64, np.float64))
+    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)  # numpy's BitGenerator.ctypes.next_double
     lib.gibbs_sweep.restype = lib.gibbs_counts.restype = None
-    lib.gibbs_sweep.argtypes = [ctypes.c_int64] * 3 + [i64] * 4 + [i32] * 4 + [ctypes.c_double] * 2 + [f64] * 3
+    lib.gibbs_sweep.argtypes = ([ctypes.c_int64] * 3 + [i64] * 3 + [i32] * 4 + [ctypes.c_double] * 2
+                                + [next_double, ctypes.c_void_p] + [f64] * 2)
     lib.gibbs_counts.argtypes = [ctypes.c_int64] * 2 + [i64] * 3 + [i32] * 4
     return lib
 
@@ -147,14 +144,10 @@ def sweep_kernel() -> str:
 
 
 def _init_chain(rng, corpus: CorpusMatrix, k: int):
-    """Initial topics z, drawn chunk by chunk as int64 (the dtype of the one
-    whole draw they reproduce), and the int32 counts (n_dk, n_kv, n_k) they
-    imply, from one walk of the sparse rows."""
-    n_tokens = corpus.total_tokens
-    z = np.empty(n_tokens, dtype=np.int32)
-    for start in range(0, n_tokens, _CHUNK):
-        drawn = rng.integers(0, k, min(_CHUNK, n_tokens - start), dtype=np.int64)
-        z[start:start + drawn.shape[0]] = drawn
+    """Initial topics z, drawn as int32 (the same values, and the same
+    generator state after, as an int64 draw), and the int32 counts
+    (n_dk, n_kv, n_k) they imply, from one walk of the sparse rows."""
+    z = rng.integers(0, k, corpus.total_tokens, dtype=np.int32)
     n_dk, n_kv, n_k = (np.zeros(shape, dtype=np.int32) for shape in ((corpus.n_docs, k), (corpus.n_vocab, k), k))
     _load_kernel().gibbs_counts(corpus.n_docs, k, corpus.indptr, corpus.indices, corpus.counts,
                                 z, n_dk, n_kv, n_k)
@@ -162,16 +155,15 @@ def _init_chain(rng, corpus: CorpusMatrix, k: int):
 
 
 def _sweep(rng, corpus: CorpusMatrix, z, n_dk, n_kv, n_k, alpha, beta) -> None:
-    """One sweep in token order: the uniforms are drawn and the kernel is
-    called one chunk at a time, the same draws as one uniform per token."""
-    kernel = _load_kernel().gibbs_sweep
-    n_tokens = z.shape[0]
+    """One sweep in token order, one kernel call. The kernel draws each
+    token's uniform from rng's bit generator, the numbers of
+    ``rng.random(n_tokens)``, under the generator's lock."""
     v, k = n_kv.shape
-    cursor, cum, term = np.zeros(3, dtype=np.int64), np.empty(k), np.empty(k)
-    for start in range(0, n_tokens, _CHUNK):
-        u = rng.random(min(_CHUNK, n_tokens - start))
-        kernel(u.shape[0], k, v, corpus.indptr, corpus.indices, corpus.counts, cursor,
-               z[start:start + u.shape[0]], n_dk, n_kv, n_k, alpha, beta, u, cum, term)
+    bits = rng.bit_generator
+    with bits.lock:
+        _load_kernel().gibbs_sweep(corpus.n_docs, k, v, corpus.indptr, corpus.indices, corpus.counts,
+                                   z, n_dk, n_kv, n_k, alpha, beta, bits.ctypes.next_double,
+                                   bits.ctypes.state_address, np.empty(k), np.empty(k))
 
 
 @dataclass(frozen=True)

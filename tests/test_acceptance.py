@@ -118,7 +118,7 @@ def test_c04_null_uniformity():
         records = _random_feasible_instance(rng)
         sampler = ConstrainedPermutationSampler(records)
         oracle = _valid_permutations(records)
-        draws = sampler.sample_batch([rng] * draws_per_instance, draws_per_instance)
+        draws = sampler.sample_batch([rng] * draws_per_instance)
         slot_years = sampler.slot_years
         pubs = sampler.pub_years
         if np.any(pubs[draws] > slot_years[None, :]):

@@ -221,6 +221,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(tmp_path / "out" / export) in err and "run.out" in err
 
+    def test_export_write_that_fails_midway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "series_t2t.csv"
+        path.write_bytes(b"old bytes\r\n")
+
+        def rows():
+            yield [1, 2.5]
+            raise RuntimeError("cut short")
+
+        with pytest.raises(RuntimeError, match="cut short"):
+            exports._write_csv(path, ["position", "bits"], rows())
+        assert path.read_bytes() == b"old bytes\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        exports._write_csv(path, ["position", "bits"], [[1, 2.5]])
+        assert path.read_bytes() == b"position,bits\r\n1,2.5\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 class TestWithoutCompiler:
     """Only `train` and `run` load the compiled sweep; without `cc` and
@@ -359,9 +375,9 @@ class TestWorkPerK:
         drawn = Counter()
         batch = nullmodel.ConstrainedPermutationSampler.sample_batch
 
-        def counted(sampler, rng, count):
-            drawn["permutations"] += count
-            return batch(sampler, rng, count)
+        def counted(sampler, rngs):
+            drawn["permutations"] += len(rngs)
+            return batch(sampler, rngs)
 
         monkeypatch.setattr(nullmodel.ConstrainedPermutationSampler, "sample_batch", counted)
         assert main([command, *flags]) == 0

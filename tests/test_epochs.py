@@ -59,8 +59,10 @@ class TestSegmentLoglik:
 
     def test_variance_floor_on_constant_segment(self):
         x = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0])
-        v = segment_loglik(x, [0, 3], variance_floor=1e-6)
-        assert np.isfinite(v)
+        v = segment_loglik(x, [0, 3])
+        floored = -1.5 * (1.0 + math.log(2.0 * math.pi * VARIANCE_FLOOR))
+        fitted = -1.5 * (1.0 + math.log(2.0 * math.pi * float(np.var(x[3:]))))
+        assert v == floored + fitted
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -209,13 +211,13 @@ class TestLogEvidence:
     def test_single_segment_matches_predictive_chain(self, rng):
         x = rng.normal(1.5, 2.0, 40)
         cfg = IDX(n_max=1)
-        expected = chain_log_evidence(x, evidence_prior(x, cfg))
+        expected = chain_log_evidence(x, evidence_prior(x))
         assert table_evidence(x, cfg)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_matches_brute_force_over_placements(self, rng):
         x = rng.normal(0, 1, 14)
         cfg = IDX(n_max=3, min_length=3)
-        prior = evidence_prior(x, cfg)
+        prior = evidence_prior(x)
         got = table_evidence(x, cfg)
         for n in (1, 2, 3):
             terms = []
@@ -229,17 +231,17 @@ class TestLogEvidence:
 
     def test_prior_is_empirical_bayes(self, rng):
         x = rng.normal(3, 2, 50)
-        prior = evidence_prior(x, IDX())
+        prior = evidence_prior(x)
         assert prior == {
             "m0": pytest.approx(x.mean()), "kappa0": 0.1, "a0": 1.0, "b0": pytest.approx(x.var())
         }
-        assert evidence_prior(np.ones(5), IDX())["b0"] == 1e-12  # variance floor
+        assert evidence_prior(np.ones(5))["b0"] == 1e-12  # variance floor
 
     def test_select_n_table_is_relative_evidence(self, rng):
         x = rng.normal(0, 1, 80)
         cfg = IDX(n_max=3, min_length=8)
         best, table, _, prior = select_n(x, cfg)
-        assert prior == evidence_prior(x, cfg)
+        assert prior == evidence_prior(x)
         ev = np.array([row["log_evidence"] for row in table])
         assert ev.tobytes() == table_log_evidence(x, cfg, None).tobytes()
         assert best.n == int(np.argmax(ev)) + 1
@@ -433,7 +435,7 @@ def table_log_evidence(x, config, dates):
     """The log evidence for n = 1..n_max from one evidence table, as before
     the blocked pass; -inf where n epochs do not fit."""
     min_len = _min_length_by_start(len(x), config, dates)
-    table = _segment_evidence_table(x, min_len, evidence_prior(x, config))
+    table = _segment_evidence_table(x, min_len, evidence_prior(x))
     log_count = _log_path_sums(np.where(np.isfinite(table), 0.0, -np.inf), config.n_max)
     log_total = _log_path_sums(table, config.n_max)
     with np.errstate(invalid="ignore"):

@@ -1,3 +1,7 @@
+import ctypes
+import platform
+import shutil
+import subprocess
 import threading
 import types
 from collections import Counter
@@ -86,17 +90,13 @@ def _tokens(indptr, indices, tally):
     return doc_of, np.repeat(indices, tally)
 
 
-def _python_sweep(n_tokens, k, v, indptr, indices, tally, cursor, z, n_dk, n_kv, n_k,
-                  alpha, beta, u, cum, term):
+def _python_sweep(n_docs, k, v, indptr, indices, tally, z, n_dk, n_kv, n_k,
+                  alpha, beta, next_double, state, cum, term):
     """`_gibbs_sweep` behind the compiled sweep's ctypes signature, over the
-    expanded tokens. It keeps its place in the cursor's entry and offset."""
+    expanded tokens, with one uniform per token from ``next_double(state)``."""
     doc_of, word_of = _tokens(indptr, indices, tally)
-    starts = np.concatenate([[0], np.cumsum(tally)])  # entry e begins at token starts[e]
-    start = starts[cursor[1]] + cursor[2]
-    stop = start + n_tokens
-    _gibbs_sweep(doc_of[start:stop], word_of[start:stop], z, n_dk, n_kv, n_k, alpha, beta, u, cum)
-    cursor[1] = np.searchsorted(starts, stop, side="right") - 1
-    cursor[2] = stop - starts[cursor[1]]
+    u = np.array([next_double(state) for _ in range(z.shape[0])])
+    _gibbs_sweep(doc_of, word_of, z, n_dk, n_kv, n_k, alpha, beta, u, cum)
 
 
 def _python_counts(n_docs, k, indptr, indices, tally, z, n_dk, n_kv, n_k):
@@ -226,6 +226,24 @@ class TestCompiledSweep:
                 assert np.array_equal(fast.theta, slow.theta), p
                 assert np.array_equal(fast.phi, slow.phi), p
 
+    @pytest.mark.parametrize("avx2", [False, True], ids=["2-lanes", "4-lanes-avx2"])
+    def test_kernel_compiles_without_warnings(self, tmp_path, monkeypatch, avx2):
+        """Each width builds with the kernel's flags plus -Wall -Wextra
+        -Werror; the build only needs a compiler that targets AVX2, not a
+        CPU that runs it."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc)")
+        if avx2 and platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip("-mavx2 is an x86-64 flag")
+        monkeypatch.setattr(topics, "_cpu_has_avx2", lambda: avx2)
+        flags = topics.kernel_flags()
+        assert ("-mavx2" in flags) == avx2
+        build = subprocess.run(
+            ["cc", *flags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "gibbs.so"), str(topics._C_SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert build.returncode == 0, build.stderr
+
     def test_each_width_is_its_own_cached_library(self, monkeypatch, kernel_cache):
         commands = []
         run = topics.subprocess.run
@@ -262,18 +280,30 @@ class TestCompiledSweep:
 
 _LAST_U = float(np.nextafter(1.0, 0.0))
 
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 
-def _sweep_case(k, docs, z, us, cuts=()):
-    """(k, corpus, z, [u per sweep], cuts) from documents given as lists of
-    (word, count) entries; each sweep calls the kernel once per chunk
-    between the cut points."""
+
+def _listed(u):
+    """A ``next_double`` for the compiled sweep that returns the listed u's
+    in turn, and the list of the states it was called with."""
+    calls = []
+
+    def next_double(state):
+        calls.append(state)
+        return u[len(calls) - 1]
+
+    return _NEXT_DOUBLE(next_double), calls
+
+
+def _sweep_case(k, docs, z, us):
+    """(k, corpus, z, [u per sweep]) from documents given as lists of
+    (word, count) entries."""
     indptr = np.cumsum([0] + [len(doc) for doc in docs])
     entries = [entry for doc in docs for entry in doc]
     matrix = CorpusMatrix(indptr, np.array([w for w, _ in entries], dtype=np.int64),
                           np.array([c for _, c in entries], dtype=np.int64),
                           n_vocab=max(w for w, _ in entries) + 1)
-    return (k, matrix, np.array(z, dtype=np.int32), [np.array(u, dtype=np.float64) for u in us],
-            sorted(cuts))
+    return k, matrix, np.array(z, dtype=np.int32), [np.array(u, dtype=np.float64) for u in us]
 
 
 @st.composite
@@ -281,7 +311,7 @@ def sweep_cases(draw):
     """Small sparse corpora: documents of 0 to 4 entries (an empty one may
     come first, in the middle or last), each entry 1 to 25 tokens of one
     word, so repeats are common and entries of 1 token change the pair at
-    every token. Each sweep is cut into chunks at up to 4 random tokens."""
+    every token."""
     k = draw(st.integers(2, 40))
     docs = draw(st.lists(
         st.dictionaries(st.integers(0, 7), st.integers(1, 25), max_size=4), min_size=1, max_size=6
@@ -291,8 +321,7 @@ def sweep_cases(draw):
     z = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     u_value = st.sampled_from([0.0, 0.5, _LAST_U]) | st.floats(0.0, 1.0, exclude_max=True)
     us = draw(st.lists(st.lists(u_value, min_size=n, max_size=n), min_size=1, max_size=4))
-    cuts = draw(st.sets(st.integers(1, n), max_size=4)) - {n}
-    return _sweep_case(k, docs, z, us, cuts)
+    return _sweep_case(k, docs, z, us)
 
 
 # The sparse rows (indptr, indices, tally) of one token: document 0, word 0.
@@ -303,8 +332,8 @@ class TestSweepReuse:
     """The compiled sweep walks the sparse rows, reuses its terms within an
     entry and draws by counting the running sums below r, several lanes at
     a time; the pure-Python sweep recomputes every term of the expanded
-    tokens and scans. Both must leave the same state after every sweep,
-    wherever the chunks are cut."""
+    tokens and scans. Fed the same u's, both must leave the same state
+    after every sweep."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=sweep_cases())
@@ -324,15 +353,15 @@ class TestSweepReuse:
     # exactly, so the draw is 4 (5 for a count of cum[j] <= r).
     @example(case=_sweep_case(17, [[(0, 2)]], [0, 0], [[0.30795847750865063, 0.5]]))
     # Empty first, middle and last documents, entries of 1 token, and one
-    # entry of 300 tokens cut into three chunks.
+    # entry of 300 tokens.
     @example(case=_sweep_case(
         6, [[], [(0, 1), (3, 1)], [], [(1, 1), (2, 300)], []], [j % 6 for j in range(303)],
-        [[(j * 0.37) % 1 for j in range(303)]] * 2, cuts=[2, 100, 250],
+        [[(j * 0.37) % 1 for j in range(303)]] * 2,
     ))
     def test_same_state_as_python_sweep(self, case):
         assert sweep_kernel() == "c"
         kernel = topics._load_kernel()
-        k, matrix, z0, us, cuts = case
+        k, matrix, z0, us = case
         rows = (matrix.indptr, matrix.indices, matrix.counts)
         fast, slow = ([z0.copy(), np.zeros((matrix.n_docs, k), dtype=np.int32),
                        np.zeros((matrix.n_vocab, k), dtype=np.int32), np.zeros(k, dtype=np.int32)]
@@ -342,14 +371,13 @@ class TestSweepReuse:
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
         doc_of, word_of = _tokens(*rows)
-        bounds = [0, *cuts, len(z0)]
         alpha, beta = 50.0 / k, 0.01
         for u in us:
-            cursor = np.zeros(3, dtype=np.int64)
-            for a, b in zip(bounds, bounds[1:]):  # each call starts from NaN sums and terms
-                kernel.gibbs_sweep(b - a, k, matrix.n_vocab, *rows, cursor, fast[0][a:b], *fast[1:],
-                                   alpha, beta, u[a:b], np.full(k, np.nan), np.full(k, np.nan))
-            assert cursor[1:].tolist() == [len(matrix.indices), 0]
+            next_double, calls = _listed(u)
+            # the call starts from NaN sums and terms
+            kernel.gibbs_sweep(matrix.n_docs, k, matrix.n_vocab, *rows, *fast, alpha, beta,
+                               next_double, 7, np.full(k, np.nan), np.full(k, np.nan))
+            assert calls == [7] * len(z0)  # one draw per token, from the state passed
             _gibbs_sweep(doc_of, word_of, *slow, alpha, beta, u, np.empty(k))
             for a, b in zip(fast, slow):
                 assert np.array_equal(a, b)
@@ -377,8 +405,7 @@ class TestSweepReuse:
         u = 0.5000100996929693 if on_plateau else 0.6
         assert (u * cum[8] == cum[5]) == on_plateau and u * cum[8] < cum[7]
         fast, slow = self._plateau_state(), self._plateau_state()
-        kernel(1, k, 1, *_ONE_TOKEN, np.zeros(3, dtype=np.int64), *fast, alpha, beta, np.array([u]),
-               np.empty(k), np.empty(k))
+        kernel(1, k, 1, *_ONE_TOKEN, *fast, alpha, beta, _listed([u])[0], None, np.empty(k), np.empty(k))
         _gibbs_sweep(token, token, *slow, alpha, beta, np.array([u]), np.empty(k))
         assert fast[0][0] == (5 if on_plateau else 7)
         for a, b in zip(fast, slow):
@@ -396,70 +423,32 @@ class TestSweepReuse:
             counts[0] = 1
         z = np.zeros(1, dtype=np.int32)
         rows = [counts[:k] for counts in guarded]
-        kernel(1, k, 1, *_ONE_TOKEN, np.zeros(3, dtype=np.int64), z, *rows, 0.5, 0.01, np.array([u]),
-               np.empty(k), np.empty(k))
+        kernel(1, k, 1, *_ONE_TOKEN, z, *rows, 0.5, 0.01, _listed([u])[0], None, np.empty(k), np.empty(k))
         assert z[0] == k - 1
         assert [counts[k] for counts in guarded] == [0, 0, 0]
 
 
-def _straddling_corpus() -> CorpusMatrix:
-    """Entries of 1 to 17 tokens, so that with 7-token chunks many chunk
-    boundaries fall inside an entry."""
-    docs = [[w for w, n in enumerate(counts) for _ in range(n)]
-            for counts in ([9, 1, 17, 4], [3, 11, 2, 8, 1], [16, 5, 6], [1, 1, 13, 7, 9])]
-    return matrix_from_docs(docs, 5)
+class TestDraws:
+    """A chain's initial topics and each sweep's uniforms are numpy's own
+    streams: one int32 draw of z, and one ``next_double`` per token."""
 
-
-class TestChunks:
-    """`train` draws z and u and calls the sweep one chunk of tokens at a
-    time; the chunk size must not change a bit."""
-
-    CASES = [
-        TopicModelParams(k=2, alpha=1.0, iterations=15, seed=1),
-        TopicModelParams(k=3, iterations=15, seed=2, average_last=8),
-        TopicModelParams(k=17, alpha=0.05, iterations=15, seed=4, average_last=15),
-    ]
-
-    def test_chunk_of_7_same_model_as_default_and_python_sweep(self, monkeypatch):
-        matrix = _straddling_corpus()
-        assert matrix.total_tokens < topics._CHUNK
-        entry_starts = set(np.cumsum(matrix.counts).tolist())
-        inside = [b for b in range(7, matrix.total_tokens, 7) if b not in entry_starts]
-        assert len(inside) >= 8  # boundaries that split an entry
-        default = [train(matrix, p) for p in self.CASES]
-        monkeypatch.setattr(topics, "_CHUNK", 7)
-        variants = [[train(matrix, p) for p in self.CASES]]
-        monkeypatch.setattr(topics, "_load_kernel", lambda: PYTHON_KERNEL)
-        variants.append([train(matrix, p) for p in self.CASES])
-        for models in variants:
-            for p, a, b in zip(self.CASES, default, models):
-                assert np.array_equal(a.theta, b.theta), p
-                assert np.array_equal(a.phi, b.phi), p
-
-    @pytest.mark.parametrize("chunk", [7, 65536])
+    @pytest.mark.parametrize("n", [7, 65_536])
     @pytest.mark.parametrize("k", [2, 3, 17, 80, 500])
-    def test_chunked_draws_equal_one_draw(self, monkeypatch, k, chunk):
-        n, n_docs, n_vocab = 20_011, 50, 300
+    def test_draws_are_numpys_streams(self, k, n):
+        """z is a fresh generator's int64 draw, and a sweep leaves the
+        generator where ``random(n)`` after that draw does: if numpy's
+        streams drift, this fails."""
+        n_docs, n_vocab = 50, 300
         words = np.random.default_rng(k).integers(0, n_vocab, n)
         matrix = matrix_from_docs(np.array_split(words, n_docs), n_vocab)
         doc_of, word_of = _tokens(matrix.indptr, matrix.indices, matrix.counts)
         one = np.random.Generator(np.random.PCG64(9))
         z_ref = one.integers(0, k, n, dtype=np.int64)
-        u_ref = one.random(n)
+        one.random(n)
 
-        monkeypatch.setattr(topics, "_CHUNK", chunk)
-        drawn_u = []
-        recording = types.SimpleNamespace(gibbs_counts=topics._load_kernel().gibbs_counts,
-                                          gibbs_sweep=lambda *args: drawn_u.append(args[13].copy()))
-        monkeypatch.setattr(topics, "_load_kernel", lambda: recording)
-        chunked = np.random.Generator(np.random.PCG64(9))
-        z, n_dk, n_kv, n_k = topics._init_chain(chunked, matrix, k)
-        topics._sweep(chunked, matrix, z, n_dk, n_kv, n_k, 1.0, 0.01)
-
+        chain = np.random.Generator(np.random.PCG64(9))
+        z, n_dk, n_kv, n_k = topics._init_chain(chain, matrix, k)
         assert np.array_equal(z, z_ref) and z.dtype == np.int32
-        assert np.array_equal(np.concatenate(drawn_u), u_ref)
-        assert {len(u) for u in drawn_u[:-1]} <= {chunk}
-        assert chunked.bit_generator.state == one.bit_generator.state
         ref_dk = np.zeros((n_docs, k), dtype=np.int64)
         ref_kv = np.zeros((n_vocab, k), dtype=np.int64)
         np.add.at(ref_dk, (doc_of, z_ref), 1)
@@ -467,6 +456,24 @@ class TestChunks:
         for got, ref in ((n_dk, ref_dk), (n_kv, ref_kv), (n_k, np.bincount(z_ref, minlength=k))):
             assert got.dtype == np.int32 and got.flags.c_contiguous
             assert np.array_equal(got, ref)
+        topics._sweep(chain, matrix, z, n_dk, n_kv, n_k, 1.0, 0.01)
+        assert chain.bit_generator.state == one.bit_generator.state
+
+    def test_sweep_draws_the_uniforms_of_rng_random(self):
+        """The compiled sweep's state equals the Python sweep's fed
+        ``rng.random(n)`` after the initial draw."""
+        matrix = matrix_from_docs([[w % 11 for w in range(j, 3 * j + 40)] for j in range(12)], 11)
+        doc_of, word_of = _tokens(matrix.indptr, matrix.indices, matrix.counts)
+        k, n = 5, matrix.total_tokens
+        chain = np.random.Generator(np.random.PCG64(3))
+        fast = list(topics._init_chain(chain, matrix, k))
+        slow = [a.copy() for a in fast]
+        topics._sweep(chain, matrix, *fast, 0.5, 0.01)
+        one = np.random.Generator(np.random.PCG64(3))
+        one.integers(0, k, n, dtype=np.int64)
+        _gibbs_sweep(doc_of, word_of, *slow, 0.5, 0.01, one.random(n), np.empty(k))
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
 
     def test_corpus_of_2_31_tokens_rejected_before_init_chain(self, monkeypatch):
         huge = CorpusMatrix(np.array([0, 1]), np.array([0]), np.array([2**31]), n_vocab=1)
