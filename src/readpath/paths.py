@@ -121,34 +121,36 @@ class RankDistribution:
     ratio_high: np.ndarray
 
 
-def _move_ranks(m: np.ndarray, observed: np.ndarray, null_orders: np.ndarray):
+def _move_ranks(m: np.ndarray, observed: np.ndarray, null_orders: np.ndarray) -> np.ndarray:
     """Move ranks of the observed order and of every null order (checked
     permutations), from one sort per matrix row: row i's moves are i -> the
     document after i in each order, and a move's count of smaller entries
-    in the row is a binary search of the sorted row. Returns the observed
-    order's D - 1 ranks and the null orders' (M, D - 1) ranks."""
+    in the row is a binary search of the sorted row. Returns ranks[o, i],
+    the rank of the move out of document i in order o (row 0 the observed
+    order, row j + 1 null order j), and 0 where i is the order's last."""
     d = m.shape[0]
-    # moves[i, o]: the document after i in order o (column 0 the observed
-    # order, column j + 1 null order j; i itself when i is last), overwritten
-    # row by row with the rank of that move; both are below D. The orders
-    # are scattered into it one by one, not stacked into one copy first: the
-    # count pass runs while the D x D matrix is live, and sets the peak RSS.
-    moves = np.empty((d, len(null_orders) + 1), dtype=np.int32)
-    cols = np.arange(1, moves.shape[1])
-    moves[observed[:-1], 0] = observed[1:]
-    moves[observed[-1], 0] = observed[-1]
-    moves[null_orders[:, -1], cols] = null_orders[:, -1]
-    moves[null_orders[:, :-1], cols[:, None]] = null_orders[:, 1:]
+    orders = np.arange(len(null_orders) + 1)
+    last = np.concatenate((observed[-1:], null_orders[:, -1]))
+    # moves[o, i]: the document after i in order o (i itself when i is last),
+    # overwritten column by column with the rank of that move; both are below
+    # D. The orders are scattered into it one by one, not stacked into one
+    # copy first, and the caller bins its rows in place, not a gathered copy:
+    # the count pass runs while the D x D matrix is live, and sets the peak RSS.
+    moves = np.empty((len(orders), d), dtype=np.int32)
+    moves[0, observed[:-1]] = observed[1:]
+    moves[orders[1:, None], null_orders[:, :-1]] = null_orders[:, 1:]
+    moves[orders, last] = last
     for i in range(d):
         row = m[i]
-        chosen = row[moves[i]]
+        chosen = row[moves[:, i]]
         sorted_row = np.sort(row)
         less = np.searchsorted(sorted_row, chosen, side="left")
         if np.isnan(sorted_row[-1]):  # sorted last; a NaN divergence beats nothing
             less[np.isnan(chosen)] = 0
         less -= row[i] < chosen  # self entry never competes
-        moves[i] = less + 1
-    return moves[observed[:-1], 0], moves[null_orders[:, :-1], cols[:, None]]
+        moves[:, i] = less + 1
+    moves[orders, last] = 0  # no move leaves an order's last document
+    return moves
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,15 @@ def rank_counts(matrix, observed_order, null_orders) -> RankCounts:
         raise ValueError("null_orders must be a nonempty 2-D array of permutations")
     if null_orders.shape[1] != d or np.any(np.sort(null_orders, axis=1) != np.arange(d)):
         raise ValueError("order must be a permutation of 0..D-1")
-    obs_ranks, null_ranks = _move_ranks(m, observed, null_orders)
-    null_ranks = null_ranks.ravel()
+    ranks = _move_ranks(m, observed, null_orders)
+    obs_ranks = ranks[0, observed[:-1]]
 
-    # Every rank in [1, D-1] falls strictly inside [2^b, 2^(b+1)).
+    # Every rank in [1, D-1] falls strictly inside [2^b, 2^(b+1)), and the
+    # 0 of each order's last document below them all.
     n_bins = int(np.floor(np.log2(d - 1))) + 1
     edges = 2.0 ** np.arange(n_bins + 1)
     obs_counts, _ = np.histogram(obs_ranks, bins=edges)
-    null_counts, _ = np.histogram(null_ranks, bins=edges)
+    null_counts, _ = np.histogram(ranks[1:], bins=edges)
     return RankCounts(
         observed_ranks=obs_ranks, bin_edges=edges, observed_counts=obs_counts, null_counts=null_counts
     )

@@ -239,7 +239,9 @@ class TestRanks:
         m = tie_heavy_matrix(rng, d, kind)
         orders = np.array([rng.permutation(d) for _ in range(n_null + 1)])
         expected = np.array([consecutive_ranks(m, o) for o in orders])
-        np.testing.assert_array_equal(np.vstack(_move_ranks(m, orders[0], orders[1:])), expected)
+        ranks = _move_ranks(m, orders[0], orders[1:])
+        np.testing.assert_array_equal(np.take_along_axis(ranks, orders[:, :-1], axis=1), expected)
+        np.testing.assert_array_equal(ranks[np.arange(n_null + 1), orders[:, -1]], 0)
         rd = rank_bands(rank_counts(m, orders[0], orders[1:]))
         np.testing.assert_array_equal(rd.observed_ranks, expected[0])
         np.testing.assert_array_equal(rd.null_counts, np.histogram(expected[1:], bins=rd.bin_edges)[0])
